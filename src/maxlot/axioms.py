@@ -30,11 +30,12 @@ from .core import (
     permute,
     permute_lottery,
     restrict,
+    to_json,
 )
-from .polytope import enumerate_vertices, extreme_points
+from .polytope import extreme_points, maximin_face
 from .prng import SplitMix64, derive_seed
 from .rules import RuleId, apply_rule, rule_payoff_matrix
-from .solver import condorcet_winners
+from .solver import condorcet_winners, never_loses
 
 AXIOMS = (
     "population",
@@ -66,32 +67,8 @@ class AxiomVerdict:
             "axiom": self.axiom,
             "rule": self.rule.value,
             "passed": self.passed,
-            "witness": _jsonify(self.witness),
+            "witness": to_json(self.witness),
         }
-
-
-def _jsonify(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Lottery):
-        return {x: str(p) for x, p in zip(value.agenda, value.probs)}
-    if isinstance(value, Profile):
-        return {
-            "agenda": list(value.agenda.ids),
-            "ballots": {">".join(o.ranking): str(w) for o, w in sorted(value.weights.items())},
-        }
-    if isinstance(value, Agenda):
-        return list(value.ids)
-    if isinstance(value, LinearOrder):
-        return ">".join(value.ranking)
-    if isinstance(value, Mapping):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [_jsonify(v) for v in value]
-        return sorted(items, key=repr) if isinstance(value, (set, frozenset)) else items
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def rule_contains(rule: RuleId, profile: Profile, lottery: Lottery) -> bool:
@@ -100,12 +77,7 @@ def rule_contains(rule: RuleId, profile: Profile, lottery: Lottery) -> bool:
         raise ValueError("lottery and profile must share an agenda")
     matrix = rule_payoff_matrix(rule, profile)
     if matrix is not None:
-        rows = matrix.rows
-        n = len(rows)
-        return all(
-            sum(lottery.probs[i] * rows[i][j] for i in range(n) if lottery.probs[i]) >= 0
-            for j in range(n)
-        )
+        return never_loses(lottery.probs, matrix.rows)
     return lottery == apply_rule(rule, profile).vertices[0]
 
 
@@ -117,15 +89,7 @@ def outcome_intersection(rule: RuleId, left: Profile, right: Profile) -> list[Lo
     m2 = rule_payoff_matrix(rule, right)
     agenda = left.agenda
     if m1 is not None and m2 is not None:
-        n = len(agenda)
-        one = Fraction(1)
-        zero = Fraction(0)
-        unit = lambda j: tuple(one if k == j else zero for k in range(n))
-        equalities = [(tuple(one for _ in range(n)), one)]
-        inequalities = [(unit(j), zero) for j in range(n)]
-        for mat in (m1, m2):
-            inequalities += [(tuple(row[j] for row in mat.rows), zero) for j in range(n)]
-        return [Lottery(agenda, v) for v in enumerate_vertices(n, equalities, inequalities)]
+        return [Lottery(agenda, v) for v in maximin_face([m1.rows, m2.rows], len(agenda))]
     v1 = apply_rule(rule, left).vertices[0]
     v2 = apply_rule(rule, right).vertices[0]
     return [v1] if v1 == v2 else []
@@ -332,18 +296,8 @@ def _restricted_intersection(rule, profile, a1, a2, common) -> list[tuple[Fracti
     m1 = rule_payoff_matrix(rule, left)
     m2 = rule_payoff_matrix(rule, right)
     if m1 is not None and m2 is not None:
-        k = len(common)
-        one = Fraction(1)
-        zero = Fraction(0)
-        equalities = [(tuple(one for _ in range(k)), one)]
-        inequalities = [
-            (tuple(one if t == s else zero for t in range(k)), zero) for s in range(k)
-        ]
-        for mat in (m1, m2):
-            rows = [mat.rows[mat.agenda.index(x)] for x in common]
-            for j in range(len(mat.agenda)):
-                inequalities.append((tuple(row[j] for row in rows), zero))
-        return enumerate_vertices(k, equalities, inequalities)
+        games = [[m.rows[m.agenda.index(x)] for x in common] for m in (m1, m2)]
+        return maximin_face(games, len(common))
     v1 = apply_rule(rule, left).vertices[0]
     v2 = apply_rule(rule, right).vertices[0]
     if set(v1.support()) <= set(common) and set(v2.support()) <= set(common):
@@ -462,6 +416,14 @@ def run_random_suite(
     max_ballots: int = 6,
 ) -> list[AxiomVerdict]:
     """Independent random instances, one verdict each; seed-stable."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 2 <= max_alternatives <= len(_LETTERS):
+        raise ValueError(
+            f"max_alternatives must be between 2 and {len(_LETTERS)}, got {max_alternatives}"
+        )
+    if max_ballots < 1:
+        raise ValueError(f"max_ballots must be at least 1, got {max_ballots}")
     out = []
     for t in range(trials):
         gen = SplitMix64(derive_seed(seed, t))

@@ -27,7 +27,7 @@ from .axioms import (
     check_unanimity,
     run_random_suite,
 )
-from .core import Agenda, LinearOrder, Profile, make_profile
+from .core import Agenda, LinearOrder, Profile, make_profile, to_json
 from .margins import margins, mcgarvey, parse_matrix
 from .rules import RuleId, apply_rule
 from .sim import SimConfig, run_sim
@@ -118,10 +118,6 @@ def _digest(*chunks: str) -> str:
     return h.hexdigest()
 
 
-def _lottery_strings(lottery) -> list[str]:
-    return [str(p) for p in lottery.probs]
-
-
 def _report(args_list, digest, results, started) -> dict:
     return {
         "command": args_list,
@@ -140,7 +136,7 @@ def _cmd_solve(ns, argv, started) -> tuple[dict, int]:
     results = {
         "rule": rule.value,
         "agenda": list(profile.agenda.ids),
-        "vertices": [_lottery_strings(v) for v in polytope.vertices],
+        "vertices": [to_json(v.probs) for v in polytope.vertices],
         "essential_set": list(polytope.essential_support()),
         "condorcet": {"weak": list(report.weak), "strict": report.strict},
         "unique": polytope.unique() is not None,
@@ -165,7 +161,7 @@ def _cmd_sample(ns, argv, started) -> tuple[dict, int]:
     results = {
         "rule": rule.value,
         "agenda": list(profile.agenda.ids),
-        "lottery": _lottery_strings(lottery),
+        "lottery": to_json(lottery.probs),
         "vertex": index,
         "seed": ns.seed,
         "alternative": sample(lottery, ns.seed),
@@ -260,7 +256,7 @@ def _cmd_mcgarvey(ns, argv, started) -> tuple[dict, int]:
     results = {
         "c": str(scale),
         "ballots": format_ballots(profile),
-        "profile_margins": [[str(v) for v in row] for row in produced.rows],
+        "profile_margins": to_json(produced.rows),
         "roundtrip_verified": True,
     }
     return _report(argv, _digest(text), results, started), 0

@@ -352,3 +352,33 @@ def compose_lottery_sets(xs: Iterable[Lottery], ys: Iterable[Lottery], b: str) -
     """All pairwise compositions, duplicates removed, canonically sorted."""
     out = {compose_lottery(p, q, b) for p in xs for q in ys}
     return sorted(out)
+
+
+def to_json(value):
+    """JSON-ready form of a core value: every rational becomes an exact string.
+
+    Lotteries map ids to probabilities, profiles give their agenda and
+    ballots, tuples and lists become lists, and sets become lists in a
+    stable order.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Lottery):
+        return {x: str(p) for x, p in zip(value.agenda, value.probs)}
+    if isinstance(value, Profile):
+        return {
+            "agenda": list(value.agenda.ids),
+            "ballots": {">".join(o.ranking): str(w) for o, w in sorted(value.weights.items())},
+        }
+    if isinstance(value, Agenda):
+        return list(value.ids)
+    if isinstance(value, LinearOrder):
+        return ">".join(value.ranking)
+    if isinstance(value, Mapping):
+        return {str(k): to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = [to_json(v) for v in value]
+        return sorted(items, key=repr) if isinstance(value, (set, frozenset)) else items
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -9,6 +9,7 @@ produced from profiles always have entries in [-1, 1]; matrices built by hand
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +100,7 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
     n = len(ids)
     total = sum(v for row in matrix.rows for v in row if v > 0)
     c = 1 / Fraction(total)
-    share = Fraction(1, _factorial(n - 1))
+    share = Fraction(1, math.factorial(n - 1))
     tally: dict[LinearOrder, Fraction] = {}
     for i in range(n):
         for j in range(n):
@@ -120,13 +121,6 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
                 tally[order] = tally.get(order, Fraction(0)) + pair_weight
     profile = make_profile(matrix.agenda, tally.items())
     return profile, c
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for v in range(2, k + 1):
-        out *= v
-    return out
 
 
 @dataclass(frozen=True)

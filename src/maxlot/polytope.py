@@ -61,6 +61,24 @@ def enumerate_vertices(
     return sorted(found)
 
 
+def maximin_face(
+    games: Sequence[Sequence[Sequence[Fraction]]], n: int
+) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of {x in the n-simplex : x^T G >= 0 for every G in games}.
+
+    Each game is n rows, one per coordinate of x, with any number of columns;
+    column j of a game is the payoff of x against the opponent's pure
+    strategy j.
+    """
+    one = Fraction(1)
+    zero = Fraction(0)
+    simplex = [(tuple(one for _ in range(n)), one)]
+    inequalities = [(tuple(one if k == j else zero for k in range(n)), zero) for j in range(n)]
+    for rows in games:
+        inequalities += [(tuple(column), zero) for column in zip(*rows)]
+    return enumerate_vertices(n, simplex, inequalities)
+
+
 def feasible(n: int, equalities: Sequence[Constraint], inequalities: Sequence[Constraint]) -> bool:
     return bool(enumerate_vertices(n, equalities, inequalities, find_one=True))
 

@@ -4,11 +4,13 @@ The solution set {x in the simplex : x^T M >= 0 componentwise} is returned as
 its full vertex list, computed with exact rationals.  The route is:
 
 1. a strict Condorcet winner short-circuits to its degenerate lottery,
-2. otherwise one maximin strategy is located by support enumeration
+2. otherwise one maximin strategy p is located by support enumeration
    (supports whose square submatrix has a one-dimensional kernel),
-3. a rank certificate decides whether that strategy is the unique vertex,
-4. failing that, tight-set basis enumeration runs on the face that provably
-   carries the whole solution set (degenerate ties only).
+3. a rank certificate decides whether p is the unique vertex,
+4. failing that, `polytope.maximin_face` enumerates the face that provably
+   carries the whole solution set: strategies supported on the columns
+   where p's payoff is zero (degenerate ties only),
+5. when no support yields a strategy, `maximin_face` runs on the whole game.
 
 Every route returns the same vertex set; the suite cross-checks against an
 independent brute-force oracle.
@@ -24,7 +26,7 @@ from fractions import Fraction
 from .core import Agenda, Lottery, Profile
 from .linalg import kernel_basis, rank
 from .margins import MarginMatrix, margins
-from .polytope import enumerate_vertices
+from .polytope import maximin_face
 from .prng import SplitMix64
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -68,16 +70,21 @@ class CondorcetReport:
             raise ValueError("a strict winner is in particular a weak winner")
 
 
-def _column(rows: Rows, j: int) -> tuple[Fraction, ...]:
-    return tuple(row[j] for row in rows)
-
-
 def _payoff_against(x, rows: Rows, j: int) -> Fraction:
     total = Fraction(0)
     for i, xi in enumerate(x):
         if xi:
             total += xi * rows[i][j]
     return total
+
+
+def never_loses(x, rows) -> bool:
+    """True when the mixed strategy x scores x^T M >= 0 against every column.
+
+    Checking the pure opponents suffices because the expected payoff is
+    linear in the opponent's strategy.
+    """
+    return all(_payoff_against(x, rows, j) >= 0 for j in range(len(rows[0])))
 
 
 def _unit(n: int, j: int) -> tuple[Fraction, ...]:
@@ -94,37 +101,32 @@ def _one_maximin(rows: Rows, n: int):
     for size in range(1, n + 1):
         for supp in itertools.combinations(range(n), size):
             if size == 1:
-                i = supp[0]
-                if all(rows[i][j] >= 0 for j in range(n)):
-                    return _unit(n, i)
-                continue
-            sub = [[rows[i][j] for j in supp] for i in supp]
-            basis = kernel_basis(sub)
-            if len(basis) != 1:
-                continue
-            vec = basis[0]
-            if any(v == 0 for v in vec):
-                continue
-            if not (all(v > 0 for v in vec) or all(v < 0 for v in vec)):
-                continue
-            total = sum(vec)
-            x = [Fraction(0)] * n
-            for k, i in enumerate(supp):
-                x[i] = vec[k] / total
-            if all(_payoff_against(x, rows, j) >= 0 for j in range(n)):
+                x = _unit(n, supp[0])
+            else:
+                basis = kernel_basis([[rows[i][j] for j in supp] for i in supp])
+                if len(basis) != 1:
+                    continue
+                vec = basis[0]
+                if not (all(v > 0 for v in vec) or all(v < 0 for v in vec)):
+                    continue
+                total = sum(vec)
+                x = [Fraction(0)] * n
+                for k, i in enumerate(supp):
+                    x[i] = vec[k] / total
+            if never_loses(x, rows):
                 return tuple(x)
     return None
 
 
-def _face_vertices(rows: Rows, n: int, allowed: set[int]):
-    """Tight-set enumeration of {x in simplex: x^T M >= 0, supp(x) within allowed}."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    equalities = [(tuple(one for _ in range(n)), one)]
-    equalities += [(_unit(n, j), zero) for j in range(n) if j not in allowed]
-    inequalities = [(_unit(n, j), zero) for j in sorted(allowed)]
-    inequalities += [(_column(rows, j), zero) for j in range(n)]
-    return enumerate_vertices(n, equalities, inequalities)
+def _face_vertices(rows: Rows, n: int, allowed: list[int]):
+    """Vertices of {x in simplex: x^T M >= 0, supp(x) within allowed}, in n coordinates."""
+    out = []
+    for v in maximin_face([[rows[i] for i in allowed]], len(allowed)):
+        x = [Fraction(0)] * n
+        for k, i in enumerate(allowed):
+            x[i] = v[k]
+        out.append(tuple(x))
+    return out
 
 
 def maximin_vertices(rows: Rows) -> list[tuple[Fraction, ...]]:
@@ -137,14 +139,13 @@ def maximin_vertices(rows: Rows) -> list[tuple[Fraction, ...]]:
             return [_unit(n, i)]
     p = _one_maximin(rows, n)
     if p is None:
-        return _face_vertices(rows, n, set(range(n)))
-    payoffs = [_payoff_against(p, rows, j) for j in range(n)]
-    tied = {j for j in range(n) if payoffs[j] == 0}
+        return _face_vertices(rows, n, list(range(n)))
+    tied = [j for j in range(n) if _payoff_against(p, rows, j) == 0]
     support = [i for i in range(n) if p[i] > 0]
     # every maximin strategy is supported inside `tied` and kills the
     # payoff columns of `support`; full rank there pins the polytope to p
     cert = [_unit(n, j) for j in range(n) if j not in tied]
-    cert += [_column(rows, j) for j in support]
+    cert += [tuple(row[j] for row in rows) for j in support]
     cert.append(tuple(Fraction(1) for _ in range(n)))
     if rank(cert) == n:
         return [p]
@@ -162,16 +163,10 @@ def maximal_lotteries(profile: Profile) -> LotteryPolytope:
 
 
 def is_maximal(profile: Profile, lottery: Lottery) -> bool:
-    """Membership test: the lottery never loses in expectation.
-
-    Checking the degenerate opponents suffices because the expected margin is
-    linear in the opponent lottery.
-    """
+    """Membership test: the lottery never loses in expectation."""
     if lottery.agenda != profile.agenda:
         raise ValueError("lottery and profile must share an agenda")
-    rows = margins(profile).rows
-    n = len(rows)
-    return all(_payoff_against(lottery.probs, rows, j) >= 0 for j in range(n))
+    return never_loses(lottery.probs, margins(profile).rows)
 
 
 def unique_maximal(profile: Profile) -> Lottery | None:

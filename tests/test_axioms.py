@@ -71,6 +71,10 @@ class TestPopulationConsistency:
         assert len(shared) == 2 and half.probs == tuple(
             (shared[0].probs[i] + shared[1].probs[i]) / 2 for i in range(3)
         )
+        # a profile met with itself gives back its own outcome set
+        for rule in (RuleId.ML, RuleId.ML3):
+            for p in (left, right, *ml3_witness_profiles()):
+                assert outcome_intersection(rule, p, p) == list(apply_rule(rule, p).vertices)
 
     def test_rd_is_linear(self):
         gen = SplitMix64(5)

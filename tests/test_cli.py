@@ -189,6 +189,23 @@ class TestCheckCommand:
         assert code == 0
         assert report["results"]["checked"] == 12
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--trials", "-3", "trials"),
+            ("--trials", "0", "trials"),
+            ("--max-alternatives", "1", "max_alternatives"),
+            ("--max-alternatives", "27", "max_alternatives"),
+            ("--max-ballots", "0", "max_ballots"),
+        ],
+    )
+    def test_random_mode_rejects_bad_options(self, capsys, flag, value, name):
+        code, report, err = run_cli(
+            capsys, "check", "population", "--rule", "ml", "--random", flag, value
+        )
+        assert code == 2 and report is None
+        assert f"{name} must be" in err
+
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.ballots"
         path.write_text(EXAMPLE_TEXT)

@@ -20,8 +20,10 @@ from maxlot import (
     sample,
     unique_maximal,
 )
+from maxlot import solver
 from maxlot.polytope import in_convex_hull
 from maxlot.prng import SplitMix64
+from maxlot.sim import gen_impartial_culture
 
 from bruteforce import maximin_vertex_oracle
 from conftest import profile_from
@@ -118,6 +120,24 @@ class TestSolverProperties:
             got = [v.probs for v in maximal_lotteries(p).vertices]
             want = maximin_vertex_oracle(margins(p).rows)
             assert got == want, p
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_face_route_matches_oracle_on_even_electorates(self, n, monkeypatch):
+        # small even electorates tie often, so most of these profiles reach
+        # the face route on a proper subset of the alternatives
+        face_sizes = []
+        real_face = solver.maximin_face
+
+        def counting_face(games, k):
+            face_sizes.append(k)
+            return real_face(games, k)
+
+        monkeypatch.setattr(solver, "maximin_face", counting_face)
+        for voters in (2, 4, 6):
+            for seed in range(4):
+                rows = margins(gen_impartial_culture(n, voters, seed)).rows
+                assert solver.maximin_vertices(rows) == maximin_vertex_oracle(rows), (voters, seed)
+        assert any(0 < k < n for k in face_sizes)
 
     @given(profiles())
     def test_vertices_are_maximal_and_extreme(self, profile):
