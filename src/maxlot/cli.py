@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 import time
 from fractions import Fraction
@@ -28,13 +27,10 @@ from .axioms import (
     run_random_suite,
 )
 from .core import Agenda, LinearOrder, Profile, make_profile, to_json
-from .margins import margins, mcgarvey, parse_matrix
+from .margins import margins, mcgarvey, parse_matrix, parse_rational
 from .rules import RuleId, apply_rule
 from .sim import SimConfig, run_sim
 from .solver import condorcet_winners, sample
-
-_WEIGHT_RE = re.compile(r"-?\d+(/\d+)?$")
-
 
 class ParseError(ValueError):
     def __init__(self, line: int, message: str):
@@ -43,10 +39,10 @@ class ParseError(ValueError):
 
 
 def _parse_weight(token: str, line: int) -> Fraction:
-    token = token.strip()
-    if not _WEIGHT_RE.fullmatch(token):
-        raise ParseError(line, f"malformed weight {token!r}: use p/q or an integer")
-    value = Fraction(token)
+    try:
+        value = parse_rational(token)
+    except ValueError as exc:
+        raise ParseError(line, f"malformed weight: {exc}") from None
     if value <= 0:
         raise ParseError(line, f"weights must be positive, got {value}")
     return value
@@ -213,7 +209,7 @@ def _fixed_check(axiom, rule, profiles, ns):
 
     if axiom in ("population", "strong-population"):
         need(2)
-        lam = Fraction(ns.mix)
+        lam = parse_rational(ns.mix)
         check = check_population_consistency if axiom == "population" else check_strong_population_consistency
         return check(rule, profiles[0], profiles[1], lam)
     if axiom in ("composition", "cloning"):

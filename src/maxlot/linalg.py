@@ -73,24 +73,6 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
     return x
 
 
-def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the nullspace {v : rows @ v = 0}."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    mat = [_as_fractions(r) for r in rows]
-    mat, pivots = _rref(mat, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -mat[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def dot(a: Sequence, b: Sequence) -> Fraction:
     total = Fraction(0)
     for x, y in zip(a, b):

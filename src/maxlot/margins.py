@@ -239,7 +239,7 @@ def parse_matrix(text: str) -> MarginMatrix:
         cells = line.split()
         if len(cells) != n:
             raise ValueError(f"expected {n} entries per row, found {len(cells)}")
-        raw_rows.append([_parse_rational(cell) for cell in cells])
+        raw_rows.append([parse_rational(cell) for cell in cells])
     # reorder from file id order to canonical agenda order
     perm = [given[x] for x in agenda.ids]
     rows = tuple(tuple(raw_rows[i][j] for j in perm) for i in perm)
@@ -253,7 +253,15 @@ def format_matrix(matrix: MarginMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rational(token: str) -> Fraction:
+def parse_rational(token: str) -> Fraction:
+    """Read an exact rational written as "p/q" or as an integer.
+
+    Raises ValueError naming the token when it is malformed or q is 0.
+    """
+    token = token.strip()
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"bad rational {token!r}: use p/q or an integer")
-    return Fraction(token)
+    numerator, _, denominator = token.partition("/")
+    if denominator and int(denominator) == 0:
+        raise ValueError(f"bad rational {token!r}: zero denominator")
+    return Fraction(int(numerator), int(denominator or 1))

@@ -62,21 +62,22 @@ def enumerate_vertices(
 
 
 def maximin_face(
-    games: Sequence[Sequence[Sequence[Fraction]]], n: int
+    games: Sequence[Sequence[Sequence[Fraction]]], n: int, zero: Sequence[int] = ()
 ) -> list[tuple[Fraction, ...]]:
     """Sorted vertices of {x in the n-simplex : x^T G >= 0 for every G in games}.
 
     Each game is n rows, one per coordinate of x, with any number of columns;
     column j of a game is the payoff of x against the opponent's pure
-    strategy j.
+    strategy j.  Columns whose index is in `zero` must score exactly 0.
     """
     one = Fraction(1)
-    zero = Fraction(0)
-    simplex = [(tuple(one for _ in range(n)), one)]
-    inequalities = [(tuple(one if k == j else zero for k in range(n)), zero) for j in range(n)]
+    nought = Fraction(0)
+    equalities = [(tuple(one for _ in range(n)), one)]
+    inequalities = [(tuple(one if k == j else nought for k in range(n)), nought) for j in range(n)]
     for rows in games:
-        inequalities += [(tuple(column), zero) for column in zip(*rows)]
-    return enumerate_vertices(n, simplex, inequalities)
+        for j, column in enumerate(zip(*rows)):
+            (equalities if j in zero else inequalities).append((tuple(column), nought))
+    return enumerate_vertices(n, equalities, inequalities)
 
 
 def feasible(n: int, equalities: Sequence[Constraint], inequalities: Sequence[Constraint]) -> bool:

@@ -4,27 +4,25 @@ The solution set {x in the simplex : x^T M >= 0 componentwise} is returned as
 its full vertex list, computed with exact rationals.  The route is:
 
 1. a strict Condorcet winner short-circuits to its degenerate lottery,
-2. otherwise one maximin strategy p is located by support enumeration
-   (supports whose square submatrix has a one-dimensional kernel),
-3. a rank certificate decides whether p is the unique vertex,
-4. failing that, `polytope.maximin_face` enumerates the face that provably
-   carries the whole solution set: strategies supported on the columns
-   where p's payoff is zero (degenerate ties only),
-5. when no support yields a strategy, `maximin_face` runs on the whole game.
+2. otherwise one exact simplex run on the integer-scaled game locates a
+   maximin strategy p,
+3. `polytope.maximin_face` enumerates the face that, by complementary
+   slackness, carries the whole solution set: strategies supported on the
+   columns where p scores 0 that also score exactly 0 against every column
+   in p's support.  When that face is a single point this is one solve.
 
-Every route returns the same vertex set; the suite cross-checks against an
-independent brute-force oracle.
+Both routes return the same vertex set; the suite cross-checks against an
+independent brute-force oracle.  The face walk is exponential in the face's
+dimension, which only degenerate ties (even electorates) make positive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Agenda, Lottery, Profile
-from .linalg import kernel_basis, rank
 from .margins import MarginMatrix, margins
 from .polytope import maximin_face
 from .prng import SplitMix64
@@ -91,65 +89,73 @@ def _unit(n: int, j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if k == j else 0) for k in range(n))
 
 
-def _one_maximin(rows: Rows, n: int):
-    """First maximin strategy in (support size, lexicographic) order, or None.
+def _one_maximin(rows: Rows, n: int) -> tuple[Fraction, ...]:
+    """One maximin strategy of the skew game, from a single exact simplex run.
 
-    Only supports whose square submatrix has a one-dimensional kernel are
-    examined; degenerate games can slip through and are handled by the
-    exhaustive fallback in the caller.
+    The game is scaled to integers by the lcm D of its denominators and
+    shifted by c = 1 + max|D M| so every payoff is positive; then
+    max 1.w s.t. (D M + c) w <= 1, w >= 0 is solved on an integer tableau
+    with fraction-free pivots (each update divides exactly by the previous
+    pivot) and Bland's rule, which cannot cycle.  The normalized primal w is
+    an optimal column strategy and the normalized dual (the slack entries of
+    the objective row) an optimal row strategy; in a skew game both are
+    maximin, and so is their midpoint, which carries the union of their
+    supports and the intersection of their ties.
     """
-    for size in range(1, n + 1):
-        for supp in itertools.combinations(range(n), size):
-            if size == 1:
-                x = _unit(n, supp[0])
-            else:
-                basis = kernel_basis([[rows[i][j] for j in supp] for i in supp])
-                if len(basis) != 1:
-                    continue
-                vec = basis[0]
-                if not (all(v > 0 for v in vec) or all(v < 0 for v in vec)):
-                    continue
-                total = sum(vec)
-                x = [Fraction(0)] * n
-                for k, i in enumerate(supp):
-                    x[i] = vec[k] / total
-            if never_loses(x, rows):
-                return tuple(x)
-    return None
-
-
-def _face_vertices(rows: Rows, n: int, allowed: list[int]):
-    """Vertices of {x in simplex: x^T M >= 0, supp(x) within allowed}, in n coordinates."""
-    out = []
-    for v in maximin_face([[rows[i] for i in allowed]], len(allowed)):
-        x = [Fraction(0)] * n
-        for k, i in enumerate(allowed):
-            x[i] = v[k]
-        out.append(tuple(x))
-    return out
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    game = [[int(v * scale) for v in row] for row in rows]
+    shift = 1 + max(abs(v) for row in game for v in row)
+    table = [
+        [v + shift for v in row] + [int(k == i) for k in range(n)] + [1]
+        for i, row in enumerate(game)
+    ]
+    table.append([-1] * n + [0] * (n + 1))
+    basis = list(range(n, 2 * n))
+    det = 1
+    while (col := next((j for j in range(2 * n) if table[n][j] < 0), None)) is not None:
+        # minimum ratio rhs / entry (compared crosswise, entries are
+        # positive), ties to the lowest basic variable
+        leave = None
+        for i in range(n):
+            a = table[i][col]
+            if a > 0 and (
+                leave is None
+                or (table[i][-1] * table[leave][col], basis[i]) < (table[leave][-1] * a, basis[leave])
+            ):
+                leave = i
+        pivot_row = table[leave]
+        pivot = pivot_row[col]
+        for i, row in enumerate(table):
+            if i != leave:
+                f = row[col]
+                table[i] = [(x * pivot - f * y) // det for x, y in zip(row, pivot_row)]
+        det = pivot
+        basis[leave] = col
+    primal = {var: row[-1] for var, row in zip(basis, table)}
+    objective = table[n]
+    return tuple(
+        Fraction(primal.get(j, 0) + objective[n + j], 2 * objective[-1]) for j in range(n)
+    )
 
 
 def maximin_vertices(rows: Rows) -> list[tuple[Fraction, ...]]:
     """All vertices of the maximin polytope of a skew payoff matrix."""
     n = len(rows)
-    if n == 1:
-        return [(Fraction(1),)]
     for i in range(n):
         if all(rows[i][j] > 0 for j in range(n) if j != i):
             return [_unit(n, i)]
     p = _one_maximin(rows, n)
-    if p is None:
-        return _face_vertices(rows, n, list(range(n)))
+    # complementary slackness against p: every maximin strategy is supported
+    # inside `tied` and scores exactly 0 against every column in supp(p)
     tied = [j for j in range(n) if _payoff_against(p, rows, j) == 0]
-    support = [i for i in range(n) if p[i] > 0]
-    # every maximin strategy is supported inside `tied` and kills the
-    # payoff columns of `support`; full rank there pins the polytope to p
-    cert = [_unit(n, j) for j in range(n) if j not in tied]
-    cert += [tuple(row[j] for row in rows) for j in support]
-    cert.append(tuple(Fraction(1) for _ in range(n)))
-    if rank(cert) == n:
-        return [p]
-    return _face_vertices(rows, n, tied)
+    support = [j for j in range(n) if p[j]]
+    out = []
+    for v in maximin_face([[rows[i] for i in tied]], len(tied), zero=support):
+        x = [Fraction(0)] * n
+        for i, vi in zip(tied, v):
+            x[i] = vi
+        out.append(tuple(x))
+    return out
 
 
 def maximin_polytope(matrix: MarginMatrix) -> LotteryPolytope:

@@ -294,3 +294,21 @@ class TestSimulateCommand:
                     walk(v)
 
         walk(report["results"])
+
+
+@pytest.mark.parametrize(
+    "text, argv, token",
+    [
+        ("agenda: a b\n2/0: a > b\n", ["solve", "{path}"], "2/0"),
+        ("a b\n0 3/0\n-1 0\n", ["mcgarvey", "{path}"], "3/0"),
+        ("agenda: a b\n1: a > b\n", ["check", "population", "{path}", "{path}", "--mix", "1/00"], "1/00"),
+    ],
+    ids=["weight", "matrix-entry", "mix"],
+)
+def test_zero_denominator_exits_2(tmp_path, capsys, text, argv, token):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, report, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and report is None
+    assert repr(token) in err
+    assert "Traceback" not in err

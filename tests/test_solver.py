@@ -23,6 +23,7 @@ from maxlot import (
 from maxlot import solver
 from maxlot.polytope import in_convex_hull
 from maxlot.prng import SplitMix64
+from maxlot.rules import cubed_margins, ml_cubed
 from maxlot.sim import gen_impartial_culture
 
 from bruteforce import maximin_vertex_oracle
@@ -77,6 +78,14 @@ class TestMaximalLotteries:
         ]
 
 
+    def test_cycle_with_coprime_denominators(self):
+        # margins over 2, 3 and 5 scale to integers only by their lcm, 30
+        agenda = Agenda(("a", "b", "c"))
+        m = skew(agenda, [("a", "b", F(1, 2)), ("b", "c", F(1, 3)), ("c", "a", F(1, 5))])
+        verts = [v.probs for v in maximin_polytope(m).vertices]
+        assert verts == [(F(10, 31), F(6, 31), F(15, 31))] == maximin_vertex_oracle(m.rows)
+
+
 class TestMembershipAndReports:
     def test_is_maximal_fixtures(self, strict_winner_profile):
         agenda = strict_winner_profile.agenda
@@ -115,11 +124,19 @@ class TestMembershipAndReports:
 class TestSolverProperties:
     def test_matches_oracle_on_random_profiles(self):
         gen = SplitMix64(99)
-        for _ in range(60):
-            p = random_profile(gen, 2 + gen.below(3))
-            got = [v.probs for v in maximal_lotteries(p).vertices]
-            want = maximin_vertex_oracle(margins(p).rows)
-            assert got == want, p
+        cases = [random_profile(gen, 2 + gen.below(3)) for _ in range(60)]
+        for n in range(3, 7):
+            # an order plus its reverse ties every pair, so every ratio test
+            # ties; the vertices are the n unit lotteries
+            order = LinearOrder(tuple("abcdef"[:n]))
+            p = make_profile(Agenda(order.ranking), [(order, 1), (LinearOrder(order.ranking[::-1]), 1)])
+            units = sorted(Lottery.degenerate(p.agenda, x) for x in p.agenda.ids)
+            assert maximal_lotteries(p).vertices == tuple(units)
+            cases.append(p)
+        for p in cases:
+            # cubed margins have denominators up to v^3, exercising the lcm scaling
+            for poly, rows in ((maximal_lotteries(p), margins(p).rows), (ml_cubed(p), cubed_margins(p).rows)):
+                assert [v.probs for v in poly.vertices] == maximin_vertex_oracle(rows), p
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_face_route_matches_oracle_on_even_electorates(self, n, monkeypatch):
@@ -128,9 +145,9 @@ class TestSolverProperties:
         face_sizes = []
         real_face = solver.maximin_face
 
-        def counting_face(games, k):
+        def counting_face(games, k, zero=()):
             face_sizes.append(k)
-            return real_face(games, k)
+            return real_face(games, k, zero)
 
         monkeypatch.setattr(solver, "maximin_face", counting_face)
         for voters in (2, 4, 6):
@@ -138,6 +155,16 @@ class TestSolverProperties:
                 rows = margins(gen_impartial_culture(n, voters, seed)).rows
                 assert solver.maximin_vertices(rows) == maximin_vertex_oracle(rows), (voters, seed)
         assert any(0 < k < n for k in face_sizes)
+
+    def test_even_electorate_at_twelve_solves(self):
+        # a degenerate even-electorate game whose maximin strategies form a segment
+        p = gen_impartial_culture(12, 26, 0)
+        verts = maximal_lotteries(p).vertices
+        assert [dict(zip(v.agenda.ids, v.probs)) for v in verts] == [
+            {**dict.fromkeys(p.agenda.ids, F(0)), "a03": F(1, 5), "a11": F(4, 5)},
+            {**dict.fromkeys(p.agenda.ids, F(0)), "a03": F(1, 3), "a11": F(2, 3)},
+        ]
+        assert all(is_maximal(p, v) for v in verts)
 
     @given(profiles())
     def test_vertices_are_maximal_and_extreme(self, profile):
