@@ -32,10 +32,10 @@ from .core import (
     restrict,
     to_json,
 )
-from .polytope import extreme_points, maximin_face
+from .polytope import extreme_points
 from .prng import SplitMix64, derive_seed
 from .rules import RuleId, apply_rule, rule_payoff_matrix
-from .solver import condorcet_winners, never_loses
+from .solver import condorcet_winners, maximin_vertices, never_loses
 
 AXIOMS = (
     "population",
@@ -89,7 +89,7 @@ def outcome_intersection(rule: RuleId, left: Profile, right: Profile) -> list[Lo
     m2 = rule_payoff_matrix(rule, right)
     agenda = left.agenda
     if m1 is not None and m2 is not None:
-        return [Lottery(agenda, v) for v in maximin_face([m1.rows, m2.rows], len(agenda))]
+        return [Lottery(agenda, v) for v in maximin_vertices([m1, m2], agenda.ids)]
     v1 = apply_rule(rule, left).vertices[0]
     v2 = apply_rule(rule, right).vertices[0]
     return [v1] if v1 == v2 else []
@@ -296,8 +296,7 @@ def _restricted_intersection(rule, profile, a1, a2, common) -> list[tuple[Fracti
     m1 = rule_payoff_matrix(rule, left)
     m2 = rule_payoff_matrix(rule, right)
     if m1 is not None and m2 is not None:
-        games = [[m.rows[m.agenda.index(x)] for x in common] for m in (m1, m2)]
-        return maximin_face(games, len(common))
+        return maximin_vertices([m1, m2], common)
     v1 = apply_rule(rule, left).vertices[0]
     v2 = apply_rule(rule, right).vertices[0]
     if set(v1.support()) <= set(common) and set(v2.support()) <= set(common):

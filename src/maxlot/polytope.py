@@ -6,18 +6,25 @@ Every polytope handled here lives inside a probability simplex, hence is
 bounded, so its vertex set is exactly the set of feasible points whose tight
 constraints have full rank.  Enumeration therefore walks all ways of making
 (n - rank(equalities)) inequalities tight, solves the square system exactly,
-and keeps the feasible solutions.
+and keeps the feasible solutions; a walk longer than WALK_BUDGET square
+systems is refused with a ValueError instead of run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import dot, rank, solve_unique
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]
+
+# Most square systems one walk may solve: far above the longest walk of the
+# test suite (462) and the benchmark (286); about 35 s at 15 free
+# coordinates (3.3 ms per system, 2-core Xeon, Python 3.11).
+WALK_BUDGET = 10_000
 
 
 def enumerate_vertices(
@@ -46,6 +53,12 @@ def enumerate_vertices(
     need = n - rank(eq_rows)
     if need < 0:
         need = 0
+    count = math.comb(len(inequalities), need)
+    if count > WALK_BUDGET:
+        raise ValueError(
+            f"face of dimension d = {need} needs {count} square systems "
+            f"(C({len(inequalities)}, {need})), over the walk budget of {WALK_BUDGET}"
+        )
     found: set[tuple[Fraction, ...]] = set()
     for picked in itertools.combinations(range(len(inequalities)), need):
         rows = eq_rows + [list(inequalities[i][0]) for i in picked]
@@ -59,29 +72,6 @@ def enumerate_vertices(
                 return [point]
             found.add(point)
     return sorted(found)
-
-
-def maximin_face(
-    games: Sequence[Sequence[Sequence[Fraction]]], n: int, zero: Sequence[int] = ()
-) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of {x in the n-simplex : x^T G >= 0 for every G in games}.
-
-    Each game is n rows, one per coordinate of x, with any number of columns;
-    column j of a game is the payoff of x against the opponent's pure
-    strategy j.  Columns whose index is in `zero` must score exactly 0.
-    """
-    one = Fraction(1)
-    nought = Fraction(0)
-    equalities = [(tuple(one for _ in range(n)), one)]
-    inequalities = [(tuple(one if k == j else nought for k in range(n)), nought) for j in range(n)]
-    for rows in games:
-        for j, column in enumerate(zip(*rows)):
-            (equalities if j in zero else inequalities).append((tuple(column), nought))
-    return enumerate_vertices(n, equalities, inequalities)
-
-
-def feasible(n: int, equalities: Sequence[Constraint], inequalities: Sequence[Constraint]) -> bool:
-    return bool(enumerate_vertices(n, equalities, inequalities, find_one=True))
 
 
 def in_convex_hull(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
@@ -99,7 +89,7 @@ def in_convex_hull(point: Sequence[Fraction], points: Sequence[Sequence[Fraction
     ]
     equalities.append((tuple(one for _ in range(k)), one))
     nonneg = [(tuple(one if j == i else Fraction(0) for j in range(k)), Fraction(0)) for i in range(k)]
-    return feasible(k, equalities, nonneg)
+    return bool(enumerate_vertices(k, equalities, nonneg, find_one=True))
 
 
 def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

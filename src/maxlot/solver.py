@@ -1,19 +1,22 @@
 """Maximal lotteries as exact maximin strategies of the majority-margin game.
 
 The solution set {x in the simplex : x^T M >= 0 componentwise} is returned as
-its full vertex list, computed with exact rationals.  The route is:
+its full vertex list, computed with exact rationals.  `maximin_vertices` is
+the one route, for one game (a rule's outcome) and for several (the axiom
+checks intersect outcomes):
 
-1. a strict Condorcet winner short-circuits to its degenerate lottery,
-2. otherwise one exact simplex run on the integer-scaled game locates a
-   maximin strategy p,
-3. `polytope.maximin_face` enumerates the face that, by complementary
-   slackness, carries the whole solution set: strategies supported on the
-   columns where p scores 0 that also score exactly 0 against every column
-   in p's support.  When that face is a single point this is one solve.
+1. a strict Condorcet winner of any game decides at once: its degenerate
+   lottery is that game's only maximin strategy,
+2. otherwise one exact simplex run per game locates a maximin strategy p,
+3. by complementary slackness each game's maximin set is the strategies
+   supported where p scores 0 that score exactly 0 against every column in
+   p's support; one `polytope.enumerate_vertices` walk lists the vertices
+   of the intersection of these faces (one solve when it is a point).
 
-Both routes return the same vertex set; the suite cross-checks against an
-independent brute-force oracle.  The face walk is exponential in the face's
-dimension, which only degenerate ties (even electorates) make positive.
+The suite cross-checks every route against an independent brute-force
+oracle.  The walk is exponential in the face's dimension, which only
+degenerate ties (even electorates) make positive, and refuses a face past
+its budget with a ValueError.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import Agenda, Lottery, Profile
 from .margins import MarginMatrix, margins
-from .polytope import maximin_face
+from .polytope import enumerate_vertices
 from .prng import SplitMix64
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -138,28 +142,40 @@ def _one_maximin(rows: Rows, n: int) -> tuple[Fraction, ...]:
     )
 
 
-def maximin_vertices(rows: Rows) -> list[tuple[Fraction, ...]]:
-    """All vertices of the maximin polytope of a skew payoff matrix."""
-    n = len(rows)
-    for i in range(n):
-        if all(rows[i][j] > 0 for j in range(n) if j != i):
-            return [_unit(n, i)]
-    p = _one_maximin(rows, n)
-    # complementary slackness against p: every maximin strategy is supported
-    # inside `tied` and scores exactly 0 against every column in supp(p)
-    tied = [j for j in range(n) if _payoff_against(p, rows, j) == 0]
-    support = [j for j in range(n) if p[j]]
+def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices, as tuples over `over`, of the lotteries that are 0 off
+    `over` and never lose in any of the skew games; every game's agenda
+    contains `over`."""
+    for m in matrices:
+        n = len(m.agenda)
+        for i, w in enumerate(m.agenda.ids):
+            if all(m.rows[i][j] > 0 for j in range(n) if j != i):
+                if w in over and all(v >= 0 for g in matrices for v in g.rows[g.agenda.index(w)]):
+                    return [_unit(len(over), over.index(w))]
+                return []
+    points = [_one_maximin(m.rows, len(m.agenda)) for m in matrices]
+    # complementary slackness against each game's p: every maximin strategy
+    # is supported where p scores 0 and scores exactly 0 against supp(p)
+    keep = [
+        x for x in over
+        if all(_payoff_against(p, m.rows, m.agenda.index(x)) == 0 for m, p in zip(matrices, points))
+    ]
+    one, nought = Fraction(1), Fraction(0)
+    equalities = [((one,) * len(keep), one)]
+    inequalities = [(_unit(len(keep), k), nought) for k in range(len(keep))]
+    for m, p in zip(matrices, points):
+        rows = [m.rows[m.agenda.index(x)] for x in keep]
+        for j, column in enumerate(zip(*rows)):
+            (equalities if p[j] else inequalities).append((column, nought))
     out = []
-    for v in maximin_face([[rows[i] for i in tied]], len(tied), zero=support):
-        x = [Fraction(0)] * n
-        for i, vi in zip(tied, v):
-            x[i] = vi
-        out.append(tuple(x))
+    for v in enumerate_vertices(len(keep), equalities, inequalities):
+        lifted = dict(zip(keep, v))
+        out.append(tuple(lifted.get(x, nought) for x in over))
     return out
 
 
 def maximin_polytope(matrix: MarginMatrix) -> LotteryPolytope:
-    verts = maximin_vertices(matrix.rows)
+    verts = maximin_vertices([matrix], matrix.agenda.ids)
     return LotteryPolytope(matrix.agenda, tuple(Lottery(matrix.agenda, v) for v in verts))
 
 

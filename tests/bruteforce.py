@@ -83,10 +83,14 @@ def prune_extreme(points):
 def maximin_vertex_oracle(rows):
     """All vertices of {x >= 0, sum x = 1, x^T M >= 0} by naive basis search.
 
-    Every n-subset of the full constraint list is solved as a square system,
-    feasible solutions are kept, and non-extreme points pruned.
+    M has one row per coordinate of x and any number of columns (stacking
+    the columns of several games gives the lotteries that never lose in
+    any of them).  Every n-subset of the full constraint list is solved as
+    a square system, feasible solutions are kept, and non-extreme points
+    pruned.
     """
     n = len(rows)
+    m = len(rows[0])
     one = Fraction(1)
     zero = Fraction(0)
     constraints = [tuple(one for _ in range(n))]  # sum = 1, index 0
@@ -94,7 +98,7 @@ def maximin_vertex_oracle(rows):
     for j in range(n):  # x_j >= 0
         constraints.append(tuple(one if k == j else zero for k in range(n)))
         rhs.append(zero)
-    for j in range(n):  # expected margin against j >= 0
+    for j in range(m):  # expected margin against column j >= 0
         constraints.append(tuple(Fraction(rows[i][j]) for i in range(n)))
         rhs.append(zero)
     candidates = set()
@@ -106,7 +110,7 @@ def maximin_vertex_oracle(rows):
             continue
         if any(v < 0 for v in x):
             continue
-        if any(sum(x[i] * rows[i][j] for i in range(n)) < 0 for j in range(n)):
+        if any(sum(x[i] * rows[i][j] for i in range(n)) < 0 for j in range(m)):
             continue
         candidates.add(tuple(x))
     return prune_extreme(candidates)

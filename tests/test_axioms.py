@@ -28,9 +28,12 @@ from maxlot import (
     run_random_suite,
     search_population_inconsistency,
 )
-from maxlot.axioms import AxiomVerdict
+from maxlot.axioms import AxiomVerdict, _restricted_intersection
 from maxlot.prng import SplitMix64
+from maxlot.rules import rule_payoff_matrix
+from maxlot.sim import gen_impartial_culture
 
+from bruteforce import maximin_vertex_oracle
 from conftest import profile_from
 from test_margins import skew
 
@@ -242,6 +245,44 @@ class TestAgendaConsistency:
             check_agenda_consistency(RuleId.ML, strict_winner_profile, ("a", "b"), ("b",))
         with pytest.raises(ValueError):
             check_agenda_consistency(RuleId.ML, strict_winner_profile, ("a",), ("b", "c"))
+
+
+def even_electorate_pairs():
+    """Pairs of small even electorates over one agenda, n = 2..5; even
+    electorates tie, so their outcome sets are often faces that meet."""
+    for n in range(2, 6):
+        for seed in range(3):
+            yield gen_impartial_culture(n, 2, seed), gen_impartial_culture(n, 4, 10 + seed)
+
+
+@pytest.mark.parametrize("rule", [RuleId.ML, RuleId.ML3])
+class TestIntersectionsMatchOracle:
+    """Both intersections against the oracle on the two games' stacked columns."""
+
+    def test_outcome_intersection(self, rule):
+        sizes = []
+        for left, right in even_electorate_pairs():
+            m1, m2 = rule_payoff_matrix(rule, left), rule_payoff_matrix(rule, right)
+            stacked = [r1 + r2 for r1, r2 in zip(m1.rows, m2.rows)]
+            shared = [v.probs for v in outcome_intersection(rule, left, right)]
+            assert shared == maximin_vertex_oracle(stacked), (left, right)
+            sizes.append(len(shared))
+        assert 0 in sizes and any(k > 1 for k in sizes)
+
+    def test_restricted_intersection(self, rule):
+        sizes = []
+        for left, right in even_electorate_pairs():
+            profile = mix([(left, F(1, 2)), (right, F(1, 2))])
+            ids = profile.agenda.ids
+            a1, a2 = ids[: max(len(ids) - 1, 2)], ids[1:]
+            common = tuple(sorted(set(a1) & set(a2)))
+            m1 = rule_payoff_matrix(rule, restrict(profile, a1))
+            m2 = rule_payoff_matrix(rule, restrict(profile, a2))
+            stacked = [m1.rows[m1.agenda.index(x)] + m2.rows[m2.agenda.index(x)] for x in common]
+            shared = _restricted_intersection(rule, profile, a1, a2, common)
+            assert shared == maximin_vertex_oracle(stacked), (profile, a1, a2)
+            sizes.append(len(shared))
+        assert 0 in sizes and any(k > 0 for k in sizes)
 
 
 class TestVerdictPlumbing:

@@ -1,10 +1,13 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from maxlot import Agenda, LinearOrder
 from maxlot.cli import ParseError, format_ballots, main, parse_ballots
+from maxlot.sim import gen_impartial_culture
 
 from conftest import profile_from
 
@@ -115,6 +118,19 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "/nonexistent/x.ballots")
         assert code == 2
         assert "cannot read" in err
+
+
+    def test_face_over_walk_budget_exits_2(self, tmp_path, capsys):
+        # two impartial voters over 20 alternatives tie into a 14-dimensional
+        # face with 32 distinct inequalities, C(32, 14) square systems:
+        # refused at once instead of walked
+        path = tmp_path / "wide.ballots"
+        path.write_text(format_ballots(gen_impartial_culture(20, 2, 0)))
+        started = time.perf_counter()
+        code, report, err = run_cli(capsys, "solve", str(path))
+        assert time.perf_counter() - started < 5
+        assert code == 2 and report is None
+        assert "dimension d = 14" in err and str(math.comb(32, 14)) in err
 
 
 class TestSampleCommand:

@@ -143,17 +143,17 @@ class TestSolverProperties:
         # small even electorates tie often, so most of these profiles reach
         # the face route on a proper subset of the alternatives
         face_sizes = []
-        real_face = solver.maximin_face
+        real_walk = solver.enumerate_vertices
 
-        def counting_face(games, k, zero=()):
+        def counting_walk(k, equalities, inequalities):
             face_sizes.append(k)
-            return real_face(games, k, zero)
+            return real_walk(k, equalities, inequalities)
 
-        monkeypatch.setattr(solver, "maximin_face", counting_face)
+        monkeypatch.setattr(solver, "enumerate_vertices", counting_walk)
         for voters in (2, 4, 6):
             for seed in range(4):
-                rows = margins(gen_impartial_culture(n, voters, seed)).rows
-                assert solver.maximin_vertices(rows) == maximin_vertex_oracle(rows), (voters, seed)
+                m = margins(gen_impartial_culture(n, voters, seed))
+                assert solver.maximin_vertices([m], m.agenda.ids) == maximin_vertex_oracle(m.rows), (voters, seed)
         assert any(0 < k < n for k in face_sizes)
 
     def test_even_electorate_at_twelve_solves(self):
