@@ -248,7 +248,7 @@ def _cmd_mcgarvey(ns, argv, started) -> tuple[dict, int]:
     produced = margins(profile)
     expected = tuple(tuple(scale * v for v in row) for row in matrix.rows)
     if produced.rows != expected:
-        raise AssertionError("margin roundtrip failed")
+        raise ValueError("margin roundtrip failed: the profile's margins are not c times the matrix")
     results = {
         "c": str(scale),
         "ballots": format_ballots(profile),

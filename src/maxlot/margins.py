@@ -51,23 +51,25 @@ class MarginMatrix:
 
 
 def margins(profile: Profile) -> MarginMatrix:
-    """Skew-symmetric majority margins of a profile, entries in [-1, 1]."""
-    ids = profile.agenda.ids
-    n = len(ids)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    """Skew-symmetric majority margins of a profile, entries in [-1, 1].
+
+    Weights are tallied as integers over D, the lcm of their denominators,
+    and each entry is divided by D once at the end.
+    """
+    agenda = profile.agenda
+    n = len(agenda)
+    pos = {x: k for k, x in enumerate(agenda.ids)}
+    scale = math.lcm(*(w.denominator for w in profile.weights.values()))
+    above = [[0] * n for _ in range(n)]  # D times the weight ranking i over j
     for order, w in profile.weights.items():
-        pos = {x: k for k, x in enumerate(order.ranking)}
-        for i in range(n):
-            pi = pos[ids[i]]
-            for j in range(i + 1, n):
-                if pi < pos[ids[j]]:
-                    rows[i][j] += w
-                else:
-                    rows[i][j] -= w
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[j][i] = -rows[i][j]
-    return MarginMatrix(profile.agenda, tuple(tuple(r) for r in rows))
+        count = w.numerator * (scale // w.denominator)
+        placed = [pos[x] for x in order.ranking]
+        for k, i in enumerate(placed):
+            row = above[i]
+            for j in placed[k + 1 :]:
+                row[j] += count
+    rows = tuple(tuple(Fraction(above[i][j] - above[j][i], scale) for j in range(n)) for i in range(n))
+    return MarginMatrix(agenda, rows)
 
 
 def is_regular(matrix: MarginMatrix, subset: Iterable[str]) -> bool:
@@ -93,34 +95,34 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
     constant is c = 1 / sum of positive entries.  The construction commutes
     with any relabeling that leaves the matrix invariant, so symmetric
     matrices yield symmetric profiles.
+
+    The entries are scaled to integers by the lcm D of their denominators,
+    so each order's weight is tallied as an integer multiplicity (the sum of
+    the scaled entries of the positive pairs it places adjacently) and
+    `make_profile` normalizes the multiplicities to the exact weights.
     """
     if matrix.is_zero():
         raise ValueError("the zero matrix has no margin-realizing profile with defined scale")
     ids = matrix.agenda.ids
     n = len(ids)
-    total = sum(v for row in matrix.rows for v in row if v > 0)
-    c = 1 / Fraction(total)
-    share = Fraction(1, math.factorial(n - 1))
-    tally: dict[LinearOrder, Fraction] = {}
+    scale = math.lcm(*(v.denominator for row in matrix.rows for v in row))
+    tally: dict[tuple[str, ...], int] = {}
+    total = 0
     for i in range(n):
         for j in range(n):
             m = matrix.rows[i][j]
             if m <= 0:
                 continue
-            pair_weight = c * m * share
+            count = m.numerator * (scale // m.denominator)
+            total += count
+            pair = (ids[i], ids[j])
             others = [ids[k] for k in range(n) if k != i and k != j]
             for arrangement in itertools.permutations(others + [None]):
-                ranking: list[str] = []
-                for item in arrangement:
-                    if item is None:
-                        ranking.append(ids[i])
-                        ranking.append(ids[j])
-                    else:
-                        ranking.append(item)
-                order = LinearOrder(ranking)
-                tally[order] = tally.get(order, Fraction(0)) + pair_weight
-    profile = make_profile(matrix.agenda, tally.items())
-    return profile, c
+                k = arrangement.index(None)
+                ranking = arrangement[:k] + pair + arrangement[k + 1 :]
+                tally[ranking] = tally.get(ranking, 0) + count
+    profile = make_profile(matrix.agenda, ((LinearOrder(r), w) for r, w in tally.items()))
+    return profile, Fraction(scale, total)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .core import Agenda, LinearOrder, Profile, make_profile
 from .prng import SplitMix64, derive_seed
-from .solver import condorcet_winners, maximal_lotteries
+from .margins import margins
+from .solver import _condorcet_report, maximin_polytope
 
 _GENERATORS = ("impartial_culture", "spatial")
 
@@ -128,17 +129,17 @@ def _trial_profile(cfg: SimConfig, trial: int) -> Profile:
 
 def run_sim(cfg: SimConfig) -> SimStats:
     """Per trial: generate a profile, record Condorcet winners and the support
-    size of the maximal lottery (multi-vertex trials land in the tied bucket)."""
+    size of the maximal lottery (multi-vertex trials land in the tied bucket).
+    The margins are tallied once per trial and shared by both."""
     stats = SimStats(trials=cfg.trials)
     for trial in range(cfg.trials):
-        profile = _trial_profile(cfg, trial)
-        report = condorcet_winners(profile)
+        matrix = margins(_trial_profile(cfg, trial))
+        report = _condorcet_report(matrix)
         if report.weak:
             stats.weak_condorcet_trials += 1
         if report.strict is not None:
             stats.strict_condorcet_trials += 1
-        polytope = maximal_lotteries(profile)
-        winner = polytope.unique()
+        winner = maximin_polytope(matrix).unique()
         if winner is None:
             stats.tied_trials += 1
         else:

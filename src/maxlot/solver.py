@@ -206,7 +206,10 @@ def essential_set(profile: Profile) -> tuple[str, ...]:
 
 
 def condorcet_winners(profile: Profile) -> CondorcetReport:
-    matrix = margins(profile)
+    return _condorcet_report(margins(profile))
+
+
+def _condorcet_report(matrix: MarginMatrix) -> CondorcetReport:
     n = len(matrix.agenda)
     weak = []
     strict = None

@@ -6,6 +6,7 @@ agreement with the solver is evidence rather than tautology.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -147,6 +148,50 @@ def borda_scores_oracle(profile):
         x: sum(pairwise_fraction(profile, x, y) for y in profile.agenda if y != x)
         for x in profile.agenda
     }
+
+
+def margins_oracle(profile):
+    """Margin rows recomputed entry by entry from pairwise fractions."""
+    from maxlot import pairwise_fraction
+
+    ids = profile.agenda.ids
+    return tuple(
+        tuple(
+            Fraction(0) if x == y else pairwise_fraction(profile, x, y) - pairwise_fraction(profile, y, x)
+            for y in ids
+        )
+        for x in ids
+    )
+
+
+def mcgarvey_oracle(matrix):
+    """McGarvey's construction summed in Fractions, one order per placement.
+
+    Each positive entry (i, j) spreads c * m_ij evenly over the (n-1)!
+    orders that keep i immediately above j, with c = 1 / sum of the
+    positive entries.  Returns the profile and c.
+    """
+    from maxlot import LinearOrder, make_profile
+
+    ids = matrix.agenda.ids
+    n = len(ids)
+    total = sum(v for row in matrix.rows for v in row if v > 0)
+    c = 1 / Fraction(total)
+    share = Fraction(1, math.factorial(n - 1))
+    tally = {}
+    for i in range(n):
+        for j in range(n):
+            m = matrix.rows[i][j]
+            if m <= 0:
+                continue
+            others = [ids[k] for k in range(n) if k != i and k != j]
+            for arrangement in itertools.permutations(others + [None]):
+                ranking = []
+                for item in arrangement:
+                    ranking.extend((ids[i], ids[j]) if item is None else (item,))
+                order = LinearOrder(ranking)
+                tally[order] = tally.get(order, Fraction(0)) + c * m * share
+    return make_profile(matrix.agenda, tally.items()), c
 
 
 def affinely_independent(vectors) -> bool:

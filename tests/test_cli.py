@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from maxlot import Agenda, LinearOrder
+import maxlot.cli
+from maxlot import Agenda, LinearOrder, parse_matrix
 from maxlot.cli import ParseError, format_ballots, main, parse_ballots
 from maxlot.sim import gen_impartial_culture
 
@@ -263,6 +264,16 @@ class TestMcgarveyCommand:
         path.write_text("a b\n0 1\n1 0\n")
         code, _, _ = run_cli(capsys, "mcgarvey", str(path))
         assert code == 2
+
+    def test_roundtrip_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m.matrix"
+        path.write_text("a b c\n0 1 -1\n-1 0 1\n1 -1 0\n")
+        wrong = parse_matrix("a b c\n0 1 0\n-1 0 0\n0 0 0\n")
+        monkeypatch.setattr(maxlot.cli, "margins", lambda profile: wrong)
+        code, report, err = run_cli(capsys, "mcgarvey", str(path))
+        assert code == 2
+        assert report is None
+        assert "roundtrip" in err
 
 
 class TestSimulateCommand:

@@ -22,7 +22,8 @@ from maxlot import (
 )
 from maxlot.prng import SplitMix64
 
-from test_core import profiles
+from bruteforce import margins_oracle, mcgarvey_oracle
+from test_core import agendas, profiles
 
 F = Fraction
 
@@ -78,6 +79,38 @@ class TestMarginMatrix:
     def test_commutes_with_restrict(self, profile):
         keep = profile.agenda.ids[:2]
         assert margins(restrict(profile, keep)) == margins(profile).submatrix(keep)
+
+
+@st.composite
+def coprime_mixes(draw):
+    """Mixes of three ballot-count profiles weighted 1/3, 2/7 and 8/21, so
+    the weights carry denominators with different prime factors."""
+    agenda = draw(agendas(2, 4))
+    parts = []
+    for coeff in (F(1, 3), F(2, 7), F(8, 21)):
+        count = draw(st.integers(1, 5))
+        orders = draw(st.lists(st.permutations(list(agenda.ids)), min_size=count, max_size=count))
+        parts.append((make_profile(agenda, [(LinearOrder(o), 1) for o in orders]), coeff))
+    return mix(parts)
+
+
+class TestMarginsOracle:
+    @given(coprime_mixes())
+    def test_matches_pairwise_fractions(self, profile):
+        assert margins(profile).rows == margins_oracle(profile)
+
+    def test_fixed_coprime_mix(self):
+        agenda = Agenda(("a", "b", "c"))
+
+        def ballots(*rankings):
+            return make_profile(agenda, [(LinearOrder(tuple(r)), 1) for r in rankings])
+
+        profile = mix(
+            [(ballots("abc", "acb"), F(1, 3)), (ballots("bca", "cab"), F(2, 7)), (ballots("cba"), F(8, 21))]
+        )
+        # the largest denominator, 21, is not a multiple of 6
+        assert sorted(w.denominator for w in profile.weights.values()) == [6, 6, 7, 7, 21]
+        assert margins(profile).rows == margins_oracle(profile)
 
 
 class TestRegularity:
@@ -137,6 +170,26 @@ class TestMcgarvey:
             profile, c = mcgarvey(m)
             expected = tuple(tuple(c * v for v in row) for row in m.rows)
             assert margins(profile).rows == expected
+
+    def test_matches_fraction_construction(self):
+        gen = SplitMix64(1953)
+        dens = (1, 2, 3, 5, 7)
+        for n in (3, 4, 5, 6):
+            agenda = Agenda(tuple("abcdef"[:n]))
+            for _ in range(3):
+                entries = []
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        num = gen.below(9) - 4
+                        den = dens[gen.below(len(dens))]
+                        entries.append((agenda.ids[i], agenda.ids[j], F(num, den)))
+                m = skew(agenda, entries)
+                if m.is_zero():
+                    continue
+                profile, c = mcgarvey(m)
+                expected_profile, expected_c = mcgarvey_oracle(m)
+                assert c == expected_c
+                assert profile == expected_profile
 
     def test_symmetric_input_gives_symmetric_profile(self):
         profile, _ = mcgarvey(UNIT_CYCLE)

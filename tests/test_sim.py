@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+import maxlot.sim
 from maxlot import (
     SimConfig,
     SimStats,
+    condorcet_winners,
     gen_impartial_culture,
     gen_spatial,
+    maximal_lotteries,
     run_sim,
 )
+from maxlot.prng import derive_seed
 
 F = Fraction
 
@@ -91,6 +95,44 @@ class TestRunSim:
         assert isinstance(stats.condorcet_weak_freq, F)
         mean = stats.mean_support_size
         assert mean is None or isinstance(mean, F)
+
+
+def _per_trial_stats(cfg: SimConfig) -> SimStats:
+    """The statistics of run_sim, rebuilt from the profile-level API."""
+    stats = SimStats(trials=cfg.trials)
+    for trial in range(cfg.trials):
+        seed = derive_seed(cfg.seed, trial)
+        if cfg.generator == "impartial_culture":
+            profile = gen_impartial_culture(cfg.n_alternatives, cfg.n_voters, seed)
+        else:
+            profile = gen_spatial(cfg.n_alternatives, cfg.n_voters, cfg.dim, seed)
+        report = condorcet_winners(profile)
+        stats.weak_condorcet_trials += bool(report.weak)
+        stats.strict_condorcet_trials += report.strict is not None
+        winner = maximal_lotteries(profile).unique()
+        if winner is None:
+            stats.tied_trials += 1
+        else:
+            size = len(winner.support())
+            stats.support_size_histogram[size] = stats.support_size_histogram.get(size, 0) + 1
+    return stats
+
+
+@pytest.mark.parametrize("generator", ["impartial_culture", "spatial"])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_one_tally_per_trial(monkeypatch, generator, seed):
+    cfg = SimConfig(generator, 5, 6, 30, seed=seed)
+    calls = []
+    tally = maxlot.sim.margins
+
+    def counted(profile):
+        calls.append(profile)
+        return tally(profile)
+
+    monkeypatch.setattr(maxlot.sim, "margins", counted)
+    stats = run_sim(cfg)
+    assert len(calls) == cfg.trials
+    assert stats == _per_trial_stats(cfg)
 
 
 class TestConfigAndStats:
