@@ -51,6 +51,41 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
+def _reduced(rows: Sequence[Sequence], rhs: Sequence, n: int):
+    """RREF of [rows | rhs] and its pivot columns, or None when inconsistent."""
+    aug = [_as_fractions(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug, pivots = _rref(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    return aug, pivots
+
+
+def solution_space(
+    rows: Sequence[Sequence], rhs: Sequence, n: int
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """All solutions of rows @ x = rhs over n unknowns, or None.
+
+    The solutions are base + sum_k t_k directions[k] for free t, with one
+    direction per free (non-pivot) column f: 1 at f, 0 at the other free
+    columns.  None means the system is inconsistent.
+    """
+    reduced = _reduced(rows, rhs, n)
+    if reduced is None:
+        return None
+    aug, pivots = reduced
+    base = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        base[c] = aug[i][n]
+    directions = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        d = [Fraction(0)] * n
+        d[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            d[c] = -aug[i][f]
+        directions.append(d)
+    return base, directions
+
+
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Unique solution of rows @ x = rhs, or None.
 
@@ -60,13 +95,10 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
     if not rows:
         return None
     n = len(rows[0])
-    aug = [_as_fractions(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    aug, pivots = _rref(aug, n)
-    for row in aug[len(pivots):]:
-        if row[n] != 0:
-            return None
-    if len(pivots) < n:
+    reduced = _reduced(rows, rhs, n)
+    if reduced is None or len(reduced[1]) < n:
         return None
+    aug, pivots = reduced
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]

@@ -4,10 +4,11 @@ Constraint systems are lists of (coefficients, rhs) pairs over n variables:
 equalities mean coeffs . x == rhs, inequalities mean coeffs . x >= rhs.
 Every polytope handled here lives inside a probability simplex, hence is
 bounded, so its vertex set is exactly the set of feasible points whose tight
-constraints have full rank.  Enumeration therefore walks all ways of making
-(n - rank(equalities)) inequalities tight, solves the square system exactly,
-and keeps the feasible solutions; a walk longer than WALK_BUDGET square
-systems is refused with a ValueError instead of run.
+constraints have full rank.  Enumeration therefore writes the solutions of
+the equalities as a base point plus d = n - rank(equalities) free
+coordinates, walks all ways of making d inequalities tight, solves each
+d x d system exactly, and keeps the feasible solutions; a walk longer than
+WALK_BUDGET square systems is refused with a ValueError instead of run.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import dot, rank, solve_unique
+from .linalg import dot, solution_space, solve_unique
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]
 
 # Most square systems one walk may solve: far above the longest walk of the
-# test suite (462) and the benchmark (286); about 35 s at 15 free
-# coordinates (3.3 ms per system, 2-core Xeon, Python 3.11).
+# test suite (10) and the benchmark (7).  A system takes about 0.15 ms at
+# d = 6 and 2.5 ms at d = 15 (2-core Xeon, Python 3.11), so a walk at the
+# budget takes 1.5 to 25 s.
 WALK_BUDGET = 10_000
 
 
@@ -34,8 +36,6 @@ def enumerate_vertices(
     find_one: bool = False,
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the system, sorted; with find_one, at most one point."""
-    eq_rows = [list(c) for c, _ in equalities]
-    eq_rhs = [b for _, b in equalities]
     # drop vacuous and repeated inequalities; they cannot add tight-set rank
     kept: list[Constraint] = []
     seen: set[Constraint] = set()
@@ -50,24 +50,27 @@ def enumerate_vertices(
             seen.add((coeffs, bound))
             kept.append((coeffs, bound))
     inequalities = kept
-    need = n - rank(eq_rows)
-    if need < 0:
-        need = 0
+    space = solution_space([c for c, _ in equalities], [b for _, b in equalities], n)
+    if space is None:
+        return []
+    base, directions = space
+    need = len(directions)
     count = math.comb(len(inequalities), need)
     if count > WALK_BUDGET:
         raise ValueError(
             f"face of dimension d = {need} needs {count} square systems "
             f"(C({len(inequalities)}, {need})), over the walk budget of {WALK_BUDGET}"
         )
+    # on x = base + sum_k t_k directions[k] each inequality c.x >= b reads
+    # (c.directions[k])_k . t >= b - c.base, so each system is d x d
+    reduced = [(tuple(dot(c, d) for d in directions), b - dot(c, base)) for c, b in inequalities]
     found: set[tuple[Fraction, ...]] = set()
-    for picked in itertools.combinations(range(len(inequalities)), need):
-        rows = eq_rows + [list(inequalities[i][0]) for i in picked]
-        rhs = eq_rhs + [inequalities[i][1] for i in picked]
-        x = solve_unique(rows, rhs)
-        if x is None:
+    for picked in itertools.combinations(reduced, need):
+        t = solve_unique([c for c, _ in picked], [b for _, b in picked]) if need else []
+        if t is None:
             continue
-        if all(dot(c, x) >= b for c, b in inequalities):
-            point = tuple(x)
+        if all(dot(c, t) >= b for c, b in reduced):
+            point = tuple(v + sum(tk * d[j] for tk, d in zip(t, directions)) for j, v in enumerate(base))
             if find_one:
                 return [point]
             found.add(point)

@@ -8,10 +8,15 @@ checks intersect outcomes):
 1. a strict Condorcet winner of any game decides at once: its degenerate
    lottery is that game's only maximin strategy,
 2. otherwise one exact simplex run per game locates a maximin strategy p,
-3. by complementary slackness each game's maximin set is the strategies
-   supported where p scores 0 that score exactly 0 against every column in
-   p's support; one `polytope.enumerate_vertices` walk lists the vertices
-   of the intersection of these faces (one solve when it is a point).
+   and, when p ties a column outside its support, a second small simplex on
+   the tied columns finds the essential set E: the support of a strictly
+   complementary maximin strategy, which every maximin strategy lives on
+   and scores exactly 0 against,
+3. one `polytope.enumerate_vertices` walk lists the vertices of the face
+   these equalities cut from the lotteries on the common essential set
+   (one solve when it is a point); while a vertex loses against a column off
+   E, that column joins as an inequality and the face is walked again.  The
+   face is convex, so the final check certifies the whole face.
 
 The suite cross-checks every route against an independent brute-force
 oracle.  The walk is exponential in the face's dimension, which only
@@ -30,8 +35,6 @@ from .core import Agenda, Lottery, Profile
 from .margins import MarginMatrix, margins
 from .polytope import enumerate_vertices
 from .prng import SplitMix64
-
-Rows = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,59 +75,45 @@ class CondorcetReport:
             raise ValueError("a strict winner is in particular a weak winner")
 
 
-def _payoff_against(x, rows: Rows, j: int) -> Fraction:
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            total += xi * rows[i][j]
-    return total
-
-
 def never_loses(x, rows) -> bool:
     """True when the mixed strategy x scores x^T M >= 0 against every column.
 
     Checking the pure opponents suffices because the expected payoff is
     linear in the opponent's strategy.
     """
-    return all(_payoff_against(x, rows, j) >= 0 for j in range(len(rows[0])))
+    support = [(xi, row) for xi, row in zip(x, rows) if xi]
+    return all(sum(xi * row[j] for xi, row in support) >= 0 for j in range(len(rows[0])))
 
 
 def _unit(n: int, j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if k == j else 0) for k in range(n))
 
 
-def _one_maximin(rows: Rows, n: int) -> tuple[Fraction, ...]:
-    """One maximin strategy of the skew game, from a single exact simplex run.
+def _simplex(a: list[list[int]], b: list[int], cost: list[int]) -> tuple[list[int], list[int], int]:
+    """max cost.w s.t. a w <= b, w >= 0, for integer a and cost and b >= 0.
 
-    The game is scaled to integers by the lcm D of its denominators and
-    shifted by c = 1 + max|D M| so every payoff is positive; then
-    max 1.w s.t. (D M + c) w <= 1, w >= 0 is solved on an integer tableau
-    with fraction-free pivots (each update divides exactly by the previous
-    pivot) and Bland's rule, which cannot cycle.  The normalized primal w is
-    an optimal column strategy and the normalized dual (the slack entries of
-    the objective row) an optimal row strategy; in a skew game both are
-    maximin, and so is their midpoint, which carries the union of their
-    supports and the intersection of their ties.
+    The tableau starts from the slack basis and stays integer: each
+    fraction-free pivot update divides exactly by the previous pivot, and
+    Bland's rule (lowest entering column; ratio-test ties to the lowest basic
+    variable) cannot cycle.  Returns the primal w, the dual (the objective
+    row's slack entries) and the optimum, as numerators over one positive
+    denominator.  Both callers' programs are bounded.
     """
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    game = [[int(v * scale) for v in row] for row in rows]
-    shift = 1 + max(abs(v) for row in game for v in row)
-    table = [
-        [v + shift for v in row] + [int(k == i) for k in range(n)] + [1]
-        for i, row in enumerate(game)
-    ]
-    table.append([-1] * n + [0] * (n + 1))
-    basis = list(range(n, 2 * n))
+    rows, cols = len(a), len(a[0])
+    width = cols + rows
+    table = [row + [int(k == i) for k in range(rows)] + [rhs] for i, (row, rhs) in enumerate(zip(a, b))]
+    table.append([-c for c in cost] + [0] * (rows + 1))
+    basis = list(range(cols, width))
     det = 1
-    while (col := next((j for j in range(2 * n) if table[n][j] < 0), None)) is not None:
+    while (col := next((j for j in range(width) if table[rows][j] < 0), None)) is not None:
         # minimum ratio rhs / entry (compared crosswise, entries are
         # positive), ties to the lowest basic variable
         leave = None
-        for i in range(n):
-            a = table[i][col]
-            if a > 0 and (
+        for i in range(rows):
+            e = table[i][col]
+            if e > 0 and (
                 leave is None
-                or (table[i][-1] * table[leave][col], basis[i]) < (table[leave][-1] * a, basis[leave])
+                or (table[i][-1] * table[leave][col], basis[i]) < (table[leave][-1] * e, basis[leave])
             ):
                 leave = i
         pivot_row = table[leave]
@@ -135,11 +124,59 @@ def _one_maximin(rows: Rows, n: int) -> tuple[Fraction, ...]:
                 table[i] = [(x * pivot - f * y) // det for x, y in zip(row, pivot_row)]
         det = pivot
         basis[leave] = col
-    primal = {var: row[-1] for var, row in zip(basis, table)}
-    objective = table[n]
-    return tuple(
-        Fraction(primal.get(j, 0) + objective[n + j], 2 * objective[-1]) for j in range(n)
+    primal = [0] * cols
+    for var, row in zip(basis, table):
+        if var < cols:
+            primal[var] = row[-1]
+    objective = table[rows]
+    return primal, objective[cols:width], objective[-1]
+
+
+def _integers(rows) -> tuple[list[list[int]], int]:
+    """Rational rows scaled to integers by the lcm D of their denominators, and D."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
+def _one_maximin(game: list[list[int]]) -> list[int]:
+    """One maximin strategy of the integer skew game, up to a positive factor.
+
+    The game is shifted by c = 1 + max|M| so every payoff is positive and
+    max 1.w s.t. (M + c) w <= 1, w >= 0 is solved.  The normalized primal w
+    is an optimal column strategy and the normalized dual an optimal row
+    strategy; in a skew game both are maximin, and so is their sum, which
+    carries the union of their supports and the intersection of their ties.
+    """
+    shift = 1 + max(abs(v) for row in game for v in row)
+    n = len(game)
+    primal, dual, _ = _simplex([[v + shift for v in row] for row in game], [1] * n, [1] * n)
+    return [w + y for w, y in zip(primal, dual)]
+
+
+def _essential(game: list[list[int]], scale: int) -> set[int]:
+    """Indices of the essential set E of the integer skew game.
+
+    E is the support of a strictly complementary maximin strategy x*, which
+    is positive exactly on E and scores > 0 against every column off E; every
+    maximin strategy lives on E and scores exactly 0 against E's columns.
+    From a maximin p with tie set T = {j : (p^T M)_j = 0}, E lies between
+    supp(p) and T.  When they differ, one more simplex on the T x T subgame,
+    max 1.u s.t. (D I + M_TT) u + M_TT v <= D, u, v >= 0, has a dual y >= 0
+    with y^T M_TT >= 0 and y + M_TT^T y >= 1, so p + e y is strictly
+    complementary for small e > 0 and E = supp(p) | supp(y).
+    """
+    p = _one_maximin(game)
+    support = {j for j, v in enumerate(p) if v}
+    tied = [j for j in range(len(game)) if sum(p[i] * game[i][j] for i in support) == 0]
+    if len(tied) == len(support):
+        return support
+    sub = [[game[i][j] for j in tied] for i in tied]
+    _, y, _ = _simplex(
+        [[v + scale * (r == c) for c, v in enumerate(row)] + row for r, row in enumerate(sub)],
+        [scale] * len(tied),
+        [1] * len(tied) + [0] * len(tied),
     )
+    return support | {j for j, v in zip(tied, y) if v}
 
 
 def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> list[tuple[Fraction, ...]]:
@@ -153,23 +190,38 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
                 if w in over and all(v >= 0 for g in matrices for v in g.rows[g.agenda.index(w)]):
                     return [_unit(len(over), over.index(w))]
                 return []
-    points = [_one_maximin(m.rows, len(m.agenda)) for m in matrices]
-    # complementary slackness against each game's p: every maximin strategy
-    # is supported where p scores 0 and scores exactly 0 against supp(p)
-    keep = [
-        x for x in over
-        if all(_payoff_against(p, m.rows, m.agenda.index(x)) == 0 for m, p in zip(matrices, points))
-    ]
+    games = []
+    for m in matrices:
+        game, scale = _integers(m.rows)
+        games.append((m, game, _essential(game, scale)))
+    # every maximin strategy of a game lives on its essential set E and
+    # scores exactly 0 against E's columns; the face these equalities cut
+    # from the simplex may still reach past a column off E, which the
+    # vertex check below turns into an inequality
+    on = [x for x in over if all(m.agenda.index(x) in essential for m, _, essential in games)]
     one, nought = Fraction(1), Fraction(0)
-    equalities = [((one,) * len(keep), one)]
-    inequalities = [(_unit(len(keep), k), nought) for k in range(len(keep))]
-    for m, p in zip(matrices, points):
-        rows = [m.rows[m.agenda.index(x)] for x in keep]
+    equalities = [((one,) * len(on), one)]
+    inequalities = [(_unit(len(on), k), nought) for k in range(len(on))]
+    off = []
+    for m, game, essential in games:
+        rows = [game[m.agenda.index(x)] for x in on]
         for j, column in enumerate(zip(*rows)):
-            (equalities if p[j] else inequalities).append((column, nought))
+            if j in essential:
+                equalities.append((column, nought))
+            else:
+                off.append(column)
+    while True:
+        vertices = enumerate_vertices(len(on), equalities, inequalities)
+        # the face is convex, so it never loses once none of its vertices
+        # does; a positive common scale keeps every score's sign
+        scaled, _ = _integers(vertices)
+        lost = [c for c in off if any(sum(v * e for v, e in zip(x, c)) < 0 for x in scaled)]
+        if not lost:
+            break
+        inequalities += [(c, nought) for c in lost]
     out = []
-    for v in enumerate_vertices(len(keep), equalities, inequalities):
-        lifted = dict(zip(keep, v))
+    for v in vertices:
+        lifted = dict(zip(on, v))
         out.append(tuple(lifted.get(x, nought) for x in over))
     return out
 
@@ -197,12 +249,10 @@ def unique_maximal(profile: Profile) -> Lottery | None:
 
 
 def essential_set(profile: Profile) -> tuple[str, ...]:
-    """Union of the supports of all maximal lotteries.
-
-    Every point of the polytope is a convex combination of its vertices, so
-    the union over vertices already covers the whole set.
-    """
-    return maximal_lotteries(profile).essential_support()
+    """Union of the supports of all maximal lotteries: the support of a
+    strictly complementary one, read off the simplex without a vertex walk."""
+    m = margins(profile)
+    return tuple(sorted(m.agenda.ids[j] for j in _essential(*_integers(m.rows))))
 
 
 def condorcet_winners(profile: Profile) -> CondorcetReport:

@@ -122,16 +122,30 @@ class TestSolveCommand:
 
 
     def test_face_over_walk_budget_exits_2(self, tmp_path, capsys):
-        # two impartial voters over 20 alternatives tie into a 14-dimensional
-        # face with 32 distinct inequalities, C(32, 14) square systems:
-        # refused at once instead of walked
-        path = tmp_path / "wide.ballots"
-        path.write_text(format_ballots(gen_impartial_culture(20, 2, 0)))
+        # eight rock-paper-scissors blocks that tie each other: the maximal
+        # lotteries are the mixtures of the eight block-uniform lotteries,
+        # a 7-dimensional face on all 24 alternatives, C(24, 7) square
+        # systems: refused at once instead of walked
+        blocks = [[f"b{b}{x}" for x in "xyz"] for b in range(8)]
+        lines = []
+        for r in range(3):
+            for order in (blocks, blocks[::-1]):
+                lines.append(" > ".join(x for block in order for x in block[r:] + block[:r]))
+        path = tmp_path / "blocks.ballots"
+        path.write_text("".join(f"1: {line}\n" for line in lines))
         started = time.perf_counter()
         code, report, err = run_cli(capsys, "solve", str(path))
         assert time.perf_counter() - started < 5
         assert code == 2 and report is None
-        assert "dimension d = 14" in err and str(math.comb(32, 14)) in err
+        assert "dimension d = 7" in err and str(math.comb(24, 7)) in err
+
+    def test_even_electorate_at_twenty_solves(self, tmp_path, capsys):
+        # two impartial voters over 20 alternatives: the simplex point ties
+        # 15 columns, but the essential set has 3 alternatives
+        path = tmp_path / "wide.ballots"
+        path.write_text(format_ballots(gen_impartial_culture(20, 2, 0)))
+        code, report, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0 and len(report["results"]["vertices"]) == 3
 
 
 class TestSampleCommand:

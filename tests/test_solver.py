@@ -141,20 +141,50 @@ class TestSolverProperties:
     @pytest.mark.parametrize("n", [5, 6])
     def test_face_route_matches_oracle_on_even_electorates(self, n, monkeypatch):
         # small even electorates tie often, so most of these profiles reach
-        # the face route on a proper subset of the alternatives
+        # the face route on a proper subset of the alternatives, and some
+        # need a second walk after a vertex loses against a column off the
+        # essential set
         face_sizes = []
+        walks = []
         real_walk = solver.enumerate_vertices
 
         def counting_walk(k, equalities, inequalities):
             face_sizes.append(k)
+            walks[-1] += 1
             return real_walk(k, equalities, inequalities)
 
         monkeypatch.setattr(solver, "enumerate_vertices", counting_walk)
         for voters in (2, 4, 6):
-            for seed in range(4):
-                m = margins(gen_impartial_culture(n, voters, seed))
-                assert solver.maximin_vertices([m], m.agenda.ids) == maximin_vertex_oracle(m.rows), (voters, seed)
+            for seed in range(5):
+                p = gen_impartial_culture(n, voters, seed)
+                m = margins(p)
+                walks.append(0)
+                oracle = maximin_vertex_oracle(m.rows)
+                assert solver.maximin_vertices([m], m.agenda.ids) == oracle, (voters, seed)
+                support = {x for v in oracle for x, q in zip(p.agenda.ids, v) if q}
+                assert essential_set(p) == tuple(sorted(support)), (voters, seed)
         assert any(0 < k < n for k in face_sizes)
+        assert any(w >= 2 for w in walks)
+
+    def test_face_cut_round_at_six(self, monkeypatch):
+        # the face on the essential set reaches past a column off it, so the
+        # first walk's vertices lose and a second walk adds that cut
+        walks = []
+        real_walk = solver.enumerate_vertices
+        monkeypatch.setattr(solver, "enumerate_vertices", lambda *a: walks.append(a) or real_walk(*a))
+        m = margins(gen_impartial_culture(6, 26, 6))
+        assert solver.maximin_vertices([m], m.agenda.ids) == maximin_vertex_oracle(m.rows)
+        assert len(walks) == 2
+
+    def test_even_electorate_at_twenty_solves(self):
+        # the simplex point ties 15 columns, but the essential set has 3
+        # alternatives and the face three vertices
+        p = gen_impartial_culture(20, 2, 0)
+        probs = [v.probs for v in maximal_lotteries(p).vertices]
+        assert len(probs) == 3
+        assert all(is_maximal(p, Lottery(p.agenda, v)) for v in probs)
+        for i, v in enumerate(probs):
+            assert not in_convex_hull(v, probs[:i] + probs[i + 1 :])
 
     def test_even_electorate_at_twelve_solves(self):
         # a degenerate even-electorate game whose maximin strategies form a segment
