@@ -1,63 +1,97 @@
-"""Gaussian elimination over exact rationals.
+"""Exact linear algebra on integer tables: one fraction-free pivot step.
 
-Small dense systems only; rows are sequences of Fraction (ints are accepted
-and coerced).  No pivoting strategy is needed beyond "first nonzero" because
-arithmetic is exact.
+Rational rows are scaled to integers (`integers`), and both the simplex and
+Gauss-Jordan elimination then pivot with the same update: every row except
+the pivot row becomes (row * p - row[c] * pivot_row) // det, where p is the
+new pivot and det the previous one (Bareiss 1968).  The division is exact,
+and after each step the table is det times its rational counterpart, so
+answers are read as Fraction(numerator, det).  Small dense systems only; no
+pivoting strategy is needed beyond "first nonzero" because arithmetic is
+exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form on the first `width` columns.
+def integers(rows) -> tuple[list[list[int]], int]:
+    """Rational rows scaled to integers by the lcm D of their denominators, and D."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
-    Returns the matrix and the list of pivot columns.  Columns beyond `width`
-    ride along (augmented right-hand sides).
+
+def _pivot(table: list[list[int]], r: int, c: int, det: int) -> int:
+    """Fraction-free pivot on table[r][c]; returns the new det, that entry."""
+    pivot_row = table[r]
+    pivot = pivot_row[c]
+    for i, row in enumerate(table):
+        if i != r:
+            f = row[c]
+            table[i] = [(x * pivot - f * y) // det for x, y in zip(row, pivot_row)]
+    return pivot
+
+
+def simplex(a: list[list[int]], b: list[int], cost: list[int]) -> tuple[list[int], list[int], int]:
+    """max cost.w s.t. a w <= b, w >= 0, for integer a and cost and b >= 0.
+
+    The tableau starts from the slack basis and stays integer under
+    fraction-free pivots, and Bland's rule (lowest entering column;
+    ratio-test ties to the lowest basic variable) cannot cycle.  Returns the
+    primal w, the dual (the objective row's slack entries) and the optimum,
+    as numerators over one positive denominator.  Every caller's program is
+    bounded.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def _as_fractions(row: Sequence) -> list[Fraction]:
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    rows = [_as_fractions(r) for r in rows]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows, len(rows[0]))
-    return len(pivots)
+    rows, cols = len(a), len(a[0])
+    width = cols + rows
+    table = [row + [int(k == i) for k in range(rows)] + [rhs] for i, (row, rhs) in enumerate(zip(a, b))]
+    table.append([-c for c in cost] + [0] * (rows + 1))
+    basis = list(range(cols, width))
+    det = 1
+    while (col := next((j for j in range(width) if table[rows][j] < 0), None)) is not None:
+        # minimum ratio rhs / entry (compared crosswise, entries are
+        # positive), ties to the lowest basic variable
+        leave = None
+        for i in range(rows):
+            e = table[i][col]
+            if e > 0 and (
+                leave is None
+                or (table[i][-1] * table[leave][col], basis[i]) < (table[leave][-1] * e, basis[leave])
+            ):
+                leave = i
+        det = _pivot(table, leave, col, det)
+        basis[leave] = col
+    primal = [0] * cols
+    for var, row in zip(basis, table):
+        if var < cols:
+            primal[var] = row[-1]
+    objective = table[rows]
+    return primal, objective[cols:width], objective[-1]
 
 
 def _reduced(rows: Sequence[Sequence], rhs: Sequence, n: int):
-    """RREF of [rows | rhs] and its pivot columns, or None when inconsistent."""
-    aug = [_as_fractions(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    aug, pivots = _rref(aug, n)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
+    """Fraction-free Gauss-Jordan form of [rows | rhs] scaled to integers.
+
+    Returns the table, its pivot columns (pivot column k in row k, every
+    pivot entry equal to det) and det, or None when the system is
+    inconsistent.
+    """
+    table, _ = integers([[*row, b] for row, b in zip(rows, rhs)])
+    pivots: list[int] = []
+    det = 1
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(table)) if table[i][c]), None)
+        if pr is None:
+            continue
+        table[r], table[pr] = table[pr], table[r]
+        det = _pivot(table, r, c, det)
+        pivots.append(c)
+    if any(row[n] for row in table[len(pivots):]):
         return None
-    return aug, pivots
+    return table, pivots, det
 
 
 def solution_space(
@@ -72,16 +106,16 @@ def solution_space(
     reduced = _reduced(rows, rhs, n)
     if reduced is None:
         return None
-    aug, pivots = reduced
+    table, pivots, det = reduced
     base = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        base[c] = aug[i][n]
+    for row, c in zip(table, pivots):
+        base[c] = Fraction(row[n], det)
     directions = []
     for f in sorted(set(range(n)) - set(pivots)):
         d = [Fraction(0)] * n
         d[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            d[c] = -aug[i][f]
+        for row, c in zip(table, pivots):
+            d[c] = Fraction(-row[f], det)
         directions.append(d)
     return base, directions
 
@@ -98,11 +132,8 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
     reduced = _reduced(rows, rhs, n)
     if reduced is None or len(reduced[1]) < n:
         return None
-    aug, pivots = reduced
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+    table, _, det = reduced
+    return [Fraction(row[n], det) for row in table[:n]]
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:

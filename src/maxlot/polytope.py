@@ -9,6 +9,8 @@ the equalities as a base point plus d = n - rank(equalities) free
 coordinates, walks all ways of making d inequalities tight, solves each
 d x d system exactly, and keeps the feasible solutions; a walk longer than
 WALK_BUDGET square systems is refused with a ValueError instead of run.
+Convex-hull membership does not walk: it is one exact LP on
+`linalg.simplex`, so `extreme_points` costs one LP per point.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import dot, solution_space, solve_unique
+from .linalg import dot, integers, simplex, solution_space, solve_unique
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]
 
 # Most square systems one walk may solve: far above the longest walk of the
-# test suite (10) and the benchmark (7).  A system takes about 0.15 ms at
-# d = 6 and 2.5 ms at d = 15 (2-core Xeon, Python 3.11), so a walk at the
-# budget takes 1.5 to 25 s.
+# test suite (10) and the benchmark (7).  A system, with its feasibility
+# check, takes about 0.4 ms at d = 6 and 1.2 to 1.7 ms at d = 15 (faces of
+# an order plus its reverse, 2-core Xeon, Python 3.11), so a walk at the
+# budget takes about 4 to 17 s.
 WALK_BUDGET = 10_000
 
 
@@ -33,9 +36,8 @@ def enumerate_vertices(
     n: int,
     equalities: Sequence[Constraint],
     inequalities: Sequence[Constraint],
-    find_one: bool = False,
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of the system, sorted; with find_one, at most one point."""
+    """All vertices of the system, sorted."""
     # drop vacuous and repeated inequalities; they cannot add tight-set rank
     kept: list[Constraint] = []
     seen: set[Constraint] = set()
@@ -70,29 +72,34 @@ def enumerate_vertices(
         if t is None:
             continue
         if all(dot(c, t) >= b for c, b in reduced):
-            point = tuple(v + sum(tk * d[j] for tk, d in zip(t, directions)) for j, v in enumerate(base))
-            if find_one:
-                return [point]
-            found.add(point)
+            found.add(tuple(v + sum(tk * d[j] for tk, d in zip(t, directions)) for j, v in enumerate(base)))
     return sorted(found)
 
 
 def in_convex_hull(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact membership of `point` in the convex hull of `points`."""
-    pts = [tuple(p) for p in points]
-    target = tuple(point)
-    if target in pts:
-        return True
-    if not pts:
+    """Exact membership of `point` in the convex hull of `points`, by one LP.
+
+    All coordinates are scaled to integers and shifted by their componentwise
+    minimum, so the target t and the columns of A (the points) are
+    nonnegative.  Then max 1.A l + 1.l s.t. A l <= t, 1.l <= 1, l >= 0 starts
+    feasible from the slack basis and is bounded, and its optimum is tight
+    everywhere exactly when t is a convex combination of the points.  So the
+    target is a member iff the optimal weights l have sum(l) > 0 and
+    A l = t sum(l), a test the shift does not change.
+    """
+    if not points:
         return False
-    k = len(pts)
-    one = Fraction(1)
-    equalities: list[Constraint] = [
-        (tuple(Fraction(p[i]) for p in pts), Fraction(target[i])) for i in range(len(target))
-    ]
-    equalities.append((tuple(one for _ in range(k)), one))
-    nonneg = [(tuple(one if j == i else Fraction(0) for j in range(k)), Fraction(0)) for i in range(k)]
-    return bool(enumerate_vertices(k, equalities, nonneg, find_one=True))
+    cloud, _ = integers([point, *points])
+    target, *columns = cloud
+    low = [min(axis) for axis in zip(*cloud)]
+    shifted = [[v - m for v, m in zip(p, low)] for p in columns]
+    a = [list(axis) for axis in zip(*shifted)] + [[1] * len(columns)]
+    b = [v - m for v, m in zip(target, low)] + [1]
+    weights, _, _ = simplex(a, b, [sum(p) + 1 for p in shifted])
+    total = sum(weights)
+    return total > 0 and all(
+        sum(w * p[i] for w, p in zip(weights, columns)) == v * total for i, v in enumerate(target)
+    )
 
 
 def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -7,7 +7,8 @@ checks intersect outcomes):
 
 1. a strict Condorcet winner of any game decides at once: its degenerate
    lottery is that game's only maximin strategy,
-2. otherwise one exact simplex run per game locates a maximin strategy p,
+2. otherwise one exact simplex run per game (`linalg.simplex`, on the game
+   scaled to integers by `linalg.integers`) locates a maximin strategy p,
    and, when p ties a column outside its support, a second small simplex on
    the tied columns finds the essential set E: the support of a strictly
    complementary maximin strategy, which every maximin strategy lives on
@@ -32,6 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Agenda, Lottery, Profile
+from .linalg import integers, simplex
 from .margins import MarginMatrix, margins
 from .polytope import enumerate_vertices
 from .prng import SplitMix64
@@ -89,55 +91,6 @@ def _unit(n: int, j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if k == j else 0) for k in range(n))
 
 
-def _simplex(a: list[list[int]], b: list[int], cost: list[int]) -> tuple[list[int], list[int], int]:
-    """max cost.w s.t. a w <= b, w >= 0, for integer a and cost and b >= 0.
-
-    The tableau starts from the slack basis and stays integer: each
-    fraction-free pivot update divides exactly by the previous pivot, and
-    Bland's rule (lowest entering column; ratio-test ties to the lowest basic
-    variable) cannot cycle.  Returns the primal w, the dual (the objective
-    row's slack entries) and the optimum, as numerators over one positive
-    denominator.  Both callers' programs are bounded.
-    """
-    rows, cols = len(a), len(a[0])
-    width = cols + rows
-    table = [row + [int(k == i) for k in range(rows)] + [rhs] for i, (row, rhs) in enumerate(zip(a, b))]
-    table.append([-c for c in cost] + [0] * (rows + 1))
-    basis = list(range(cols, width))
-    det = 1
-    while (col := next((j for j in range(width) if table[rows][j] < 0), None)) is not None:
-        # minimum ratio rhs / entry (compared crosswise, entries are
-        # positive), ties to the lowest basic variable
-        leave = None
-        for i in range(rows):
-            e = table[i][col]
-            if e > 0 and (
-                leave is None
-                or (table[i][-1] * table[leave][col], basis[i]) < (table[leave][-1] * e, basis[leave])
-            ):
-                leave = i
-        pivot_row = table[leave]
-        pivot = pivot_row[col]
-        for i, row in enumerate(table):
-            if i != leave:
-                f = row[col]
-                table[i] = [(x * pivot - f * y) // det for x, y in zip(row, pivot_row)]
-        det = pivot
-        basis[leave] = col
-    primal = [0] * cols
-    for var, row in zip(basis, table):
-        if var < cols:
-            primal[var] = row[-1]
-    objective = table[rows]
-    return primal, objective[cols:width], objective[-1]
-
-
-def _integers(rows) -> tuple[list[list[int]], int]:
-    """Rational rows scaled to integers by the lcm D of their denominators, and D."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
-
-
 def _one_maximin(game: list[list[int]]) -> list[int]:
     """One maximin strategy of the integer skew game, up to a positive factor.
 
@@ -149,7 +102,7 @@ def _one_maximin(game: list[list[int]]) -> list[int]:
     """
     shift = 1 + max(abs(v) for row in game for v in row)
     n = len(game)
-    primal, dual, _ = _simplex([[v + shift for v in row] for row in game], [1] * n, [1] * n)
+    primal, dual, _ = simplex([[v + shift for v in row] for row in game], [1] * n, [1] * n)
     return [w + y for w, y in zip(primal, dual)]
 
 
@@ -171,7 +124,7 @@ def _essential(game: list[list[int]], scale: int) -> set[int]:
     if len(tied) == len(support):
         return support
     sub = [[game[i][j] for j in tied] for i in tied]
-    _, y, _ = _simplex(
+    _, y, _ = simplex(
         [[v + scale * (r == c) for c, v in enumerate(row)] + row for r, row in enumerate(sub)],
         [scale] * len(tied),
         [1] * len(tied) + [0] * len(tied),
@@ -192,7 +145,7 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
                 return []
     games = []
     for m in matrices:
-        game, scale = _integers(m.rows)
+        game, scale = integers(m.rows)
         games.append((m, game, _essential(game, scale)))
     # every maximin strategy of a game lives on its essential set E and
     # scores exactly 0 against E's columns; the face these equalities cut
@@ -214,7 +167,7 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
         vertices = enumerate_vertices(len(on), equalities, inequalities)
         # the face is convex, so it never loses once none of its vertices
         # does; a positive common scale keeps every score's sign
-        scaled, _ = _integers(vertices)
+        scaled, _ = integers(vertices)
         lost = [c for c in off if any(sum(v * e for v, e in zip(x, c)) < 0 for x in scaled)]
         if not lost:
             break
@@ -252,7 +205,7 @@ def essential_set(profile: Profile) -> tuple[str, ...]:
     """Union of the supports of all maximal lotteries: the support of a
     strictly complementary one, read off the simplex without a vertex walk."""
     m = margins(profile)
-    return tuple(sorted(m.agenda.ids[j] for j in _essential(*_integers(m.rows))))
+    return tuple(sorted(m.agenda.ids[j] for j in _essential(*integers(m.rows))))
 
 
 def condorcet_winners(profile: Profile) -> CondorcetReport:

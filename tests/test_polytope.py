@@ -1,9 +1,25 @@
+import itertools
+import time
 from fractions import Fraction
 
-from maxlot.linalg import rank, solve_unique
+import pytest
+
+from bruteforce import _affine_rank, _solve_square, hull_contains
+from maxlot.linalg import solution_space, solve_unique
 from maxlot.polytope import enumerate_vertices, extreme_points, in_convex_hull
+from maxlot.prng import SplitMix64
 
 F = Fraction
+
+
+def _entry(gen: SplitMix64):
+    """A small int or Fraction, negative ones included."""
+    num = gen.below(9) - 4
+    return num if gen.below(2) else F(num, 1 + gen.below(4))
+
+
+def _satisfies(rows, rhs, x) -> bool:
+    return all(sum(F(v) * xi for v, xi in zip(row, x)) == b for row, b in zip(rows, rhs))
 
 
 class TestLinalg:
@@ -19,9 +35,46 @@ class TestLinalg:
         rows = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
         assert solve_unique(rows, (F(2), F(3), F(5))) == [F(2), F(3)]
 
-    def test_rank(self):
-        rows = [(F(1), F(2), F(3)), (F(2), F(4), F(6))]
-        assert rank(rows) == 1
+    def test_solve_unique_matches_oracle_on_square_systems(self):
+        # fraction-free elimination swaps rows and divides by the previous
+        # pivot; a zero leading entry forces a swap and a copied row makes
+        # the system singular
+        gen = SplitMix64(18)
+        singular = 0
+        for size in range(1, 7):
+            for case in range(12):
+                rows = [[_entry(gen) for _ in range(size)] for _ in range(size)]
+                rhs = [_entry(gen) for _ in range(size)]
+                if case % 3 == 0:
+                    rows[0][0] = 0
+                if case % 4 == 1:
+                    rows[-1] = [2 * v for v in rows[0]]
+                expected = _solve_square(rows, rhs)
+                singular += expected is None
+                assert solve_unique(rows, rhs) == expected, (size, case)
+        assert singular >= 12
+
+    def test_solution_space_on_rectangular_systems(self):
+        gen = SplitMix64(1968)
+        for case in range(60):
+            m, n = 1 + gen.below(5), 1 + gen.below(6)
+            rows = [[_entry(gen) for _ in range(n)] for _ in range(m)]
+            if case % 5 == 0:
+                rows[0][0] = 0
+            if m > 1 and case % 2:
+                # a dependent row lowers the rank without breaking consistency
+                rows[-1] = [a + 3 * b for a, b in zip(rows[0], rows[1 % (m - 1)])]
+            x = [_entry(gen) for _ in range(n)]
+            rhs = [sum(F(v) * xi for v, xi in zip(row, x)) for row in rows]
+            base, directions = solution_space(rows, rhs, n)
+            assert _satisfies(rows, rhs, base), case
+            for d in directions:
+                assert _satisfies(rows, rhs, [b + v for b, v in zip(base, d)]), case
+            assert len(directions) == n - _affine_rank([[0] * n] + rows), case
+            if m > 1 and case % 2:
+                # the same dependent row with another right-hand side
+                assert solution_space(rows, rhs[:-1] + [rhs[-1] + 1], n) is None, case
+        assert solution_space([[0, 0]], [1], 2) is None
 
 
 SQUARE = [  # unit square in the plane
@@ -47,6 +100,43 @@ class TestHull:
         once = extreme_points(cloud)
         assert extreme_points(once) == once
         assert extreme_points(list(reversed(cloud))) == once
+
+    def test_membership_matches_oracle_on_random_clouds(self):
+        # negative coordinates exercise the shift to the componentwise minimum
+        gen = SplitMix64(1503)
+        verdicts = set()
+        for dim in range(1, 5):
+            for k in range(1, 8):
+                cloud = [tuple(_entry(gen) for _ in range(dim)) for _ in range(k)]
+                weights = [gen.below(4) for _ in range(k)]
+                weights[gen.below(k)] += 1
+                inside = tuple(sum(F(w, sum(weights)) * p[i] for w, p in zip(weights, cloud)) for i in range(dim))
+                # each point moved away from the combination, then jittered
+                pushed = [
+                    tuple(v + (v - c) * (1 + gen.below(3)) + F(gen.below(3) - 1, 2) for v, c in zip(p, inside))
+                    for p in cloud[:3]
+                ]
+                for target in [inside, *cloud, *pushed]:
+                    verdict = in_convex_hull(target, cloud)
+                    assert verdict == hull_contains(target, cloud), (cloud, target)
+                    verdicts.add(verdict)
+                assert in_convex_hull(inside, cloud)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n, denominator", [(3, 5), (4, 3)])
+    def test_extreme_points_of_lattice_lotteries(self, n, denominator):
+        # every lottery over n alternatives with the given denominator; a
+        # hull test that walks C(k, n) square systems takes tens of seconds
+        # on these clouds, one LP per point takes milliseconds
+        cloud = [
+            tuple(F(c, denominator) for c in counts)
+            for counts in itertools.product(range(denominator + 1), repeat=n)
+            if sum(counts) == denominator
+        ]
+        started = time.perf_counter()
+        units = extreme_points(cloud)
+        assert time.perf_counter() - started < 1
+        assert units == sorted(tuple(F(int(i == j)) for i in range(n)) for j in range(n))
 
 
 class TestEnumerateVertices:
