@@ -5,15 +5,14 @@ Gauss-Jordan elimination then pivot with the same update: every row except
 the pivot row becomes (row * p - row[c] * pivot_row) // det, where p is the
 new pivot and det the previous one (Bareiss 1968).  The division is exact,
 and after each step the table is det times its rational counterpart, so
-answers are read as Fraction(numerator, det).  Small dense systems only; no
-pivoting strategy is needed beyond "first nonzero" because arithmetic is
-exact.
+callers read answers as numerators over det and stay in integers.  Small
+dense systems only; no pivoting strategy is needed beyond "first nonzero"
+because arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -71,14 +70,17 @@ def simplex(a: list[list[int]], b: list[int], cost: list[int]) -> tuple[list[int
     return primal, objective[cols:width], objective[-1]
 
 
-def _reduced(rows: Sequence[Sequence], rhs: Sequence, n: int):
-    """Fraction-free Gauss-Jordan form of [rows | rhs] scaled to integers.
+def eliminate(rows: Sequence[Sequence], n: int) -> tuple[list[list[int]], list[int], int] | None:
+    """Fraction-free Gauss-Jordan form of the rational rows [coefficients | rhs]
+    over n unknowns, scaled to integers by `integers`.
 
     Returns the table, its pivot columns (pivot column k in row k, every
-    pivot entry equal to det) and det, or None when the system is
-    inconsistent.
+    pivot entry equal to det) and det > 0, or None when the system is
+    inconsistent.  The table is det times the reduced row echelon form, so
+    the solutions are x[pivots[k]] = (table[k][n] - sum over free f of
+    table[k][f] x[f]) / det.
     """
-    table, _ = integers([[*row, b] for row, b in zip(rows, rhs)])
+    table, _ = integers(rows)
     pivots: list[int] = []
     det = 1
     for c in range(n):
@@ -91,54 +93,7 @@ def _reduced(rows: Sequence[Sequence], rhs: Sequence, n: int):
         pivots.append(c)
     if any(row[n] for row in table[len(pivots):]):
         return None
+    if det < 0:
+        table = [[-v for v in row] for row in table]
+        det = -det
     return table, pivots, det
-
-
-def solution_space(
-    rows: Sequence[Sequence], rhs: Sequence, n: int
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """All solutions of rows @ x = rhs over n unknowns, or None.
-
-    The solutions are base + sum_k t_k directions[k] for free t, with one
-    direction per free (non-pivot) column f: 1 at f, 0 at the other free
-    columns.  None means the system is inconsistent.
-    """
-    reduced = _reduced(rows, rhs, n)
-    if reduced is None:
-        return None
-    table, pivots, det = reduced
-    base = [Fraction(0)] * n
-    for row, c in zip(table, pivots):
-        base[c] = Fraction(row[n], det)
-    directions = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        d = [Fraction(0)] * n
-        d[f] = Fraction(1)
-        for row, c in zip(table, pivots):
-            d[c] = Fraction(-row[f], det)
-        directions.append(d)
-    return base, directions
-
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Unique solution of rows @ x = rhs, or None.
-
-    None means the (possibly overdetermined) system is inconsistent or does
-    not pin down every variable.
-    """
-    if not rows:
-        return None
-    n = len(rows[0])
-    reduced = _reduced(rows, rhs, n)
-    if reduced is None or len(reduced[1]) < n:
-        return None
-    table, _, det = reduced
-    return [Fraction(row[n], det) for row in table[:n]]
-
-
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            total += Fraction(x) * Fraction(y)
-    return total

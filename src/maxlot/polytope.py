@@ -1,14 +1,17 @@
 """Exact vertex enumeration and convex-hull tests for rational polytopes.
 
-Constraint systems are lists of (coefficients, rhs) pairs over n variables:
-equalities mean coeffs . x == rhs, inequalities mean coeffs . x >= rhs.
-Every polytope handled here lives inside a probability simplex, hence is
-bounded, so its vertex set is exactly the set of feasible points whose tight
-constraints have full rank.  Enumeration therefore writes the solutions of
-the equalities as a base point plus d = n - rank(equalities) free
-coordinates, walks all ways of making d inequalities tight, solves each
-d x d system exactly, and keeps the feasible solutions; a walk longer than
-WALK_BUDGET square systems is refused with a ValueError instead of run.
+Constraint systems are lists of (coefficients, rhs) pairs over n variables,
+with int or Fraction entries: equalities mean coeffs . x == rhs, inequalities
+mean coeffs . x >= rhs.  Every polytope handled here lives inside a
+probability simplex, hence is bounded, so its vertex set is exactly the set
+of feasible points whose tight constraints have full rank.  Enumeration
+therefore eliminates the equalities once (`linalg.eliminate`), which writes
+their solutions over d = n - rank(equalities) free coordinates, projects
+each inequality onto those coordinates as one integer row, walks all ways of
+making d of them tight, solves each d x d system with the same elimination,
+and keeps the solutions that satisfy every projected row.  The walk stays in
+integers; `Fraction`s are built only for the feasible points.  A walk longer
+than WALK_BUDGET square systems is refused with a ValueError instead of run.
 Convex-hull membership does not walk: it is one exact LP on
 `linalg.simplex`, so `extreme_points` costs one LP per point.
 """
@@ -18,17 +21,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
-from .linalg import dot, integers, simplex, solution_space, solve_unique
+from .linalg import eliminate, integers, simplex
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]
+Constraint = tuple[Sequence[Rational], Rational]
 
 # Most square systems one walk may solve: far above the longest walk of the
-# test suite (10) and the benchmark (7).  A system, with its feasibility
-# check, takes about 0.4 ms at d = 6 and 1.2 to 1.7 ms at d = 15 (faces of
-# an order plus its reverse, 2-core Xeon, Python 3.11), so a walk at the
-# budget takes about 4 to 17 s.
+# test suite (35) and the benchmark (7).  A system, with its feasibility
+# check, takes about 0.09 to 0.17 ms at d = 6 and 0.46 to 0.52 ms at d = 15
+# (faces of an order plus its reverse, 2-core Xeon, Python 3.11), so a walk
+# at the budget takes about 1 to 5 s.
 WALK_BUDGET = 10_000
 
 
@@ -38,41 +42,55 @@ def enumerate_vertices(
     inequalities: Sequence[Constraint],
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the system, sorted."""
-    # drop vacuous and repeated inequalities; they cannot add tight-set rank
-    kept: list[Constraint] = []
-    seen: set[Constraint] = set()
+    # each inequality scaled to integers by its own denominators; vacuous and
+    # repeated ones are dropped, they cannot add tight-set rank
+    kept: list[tuple[int, ...]] = []
     for coeffs, bound in inequalities:
-        coeffs = tuple(coeffs)
-        bound = Fraction(bound)
-        if all(v == 0 for v in coeffs):
-            if bound > 0:
-                return []
-            continue
-        if (coeffs, bound) not in seen:
-            seen.add((coeffs, bound))
-            kept.append((coeffs, bound))
-    inequalities = kept
-    space = solution_space([c for c, _ in equalities], [b for _, b in equalities], n)
-    if space is None:
+        (row,), _ = integers([[*coeffs, bound]])
+        if any(row[:n]):
+            kept.append(tuple(row))
+        elif row[n] > 0:
+            return []
+    kept = list(dict.fromkeys(kept))
+    solved = eliminate([[*c, b] for c, b in equalities], n)
+    if solved is None:
         return []
-    base, directions = space
-    need = len(directions)
-    count = math.comb(len(inequalities), need)
+    table, pivots, det = solved
+    free = [f for f in range(n) if f not in pivots]
+    need = len(free)
+    count = math.comb(len(kept), need)
     if count > WALK_BUDGET:
         raise ValueError(
             f"face of dimension d = {need} needs {count} square systems "
-            f"(C({len(inequalities)}, {need})), over the walk budget of {WALK_BUDGET}"
+            f"(C({len(kept)}, {need})), over the walk budget of {WALK_BUDGET}"
         )
-    # on x = base + sum_k t_k directions[k] each inequality c.x >= b reads
-    # (c.directions[k])_k . t >= b - c.base, so each system is d x d
-    reduced = [(tuple(dot(c, d) for d in directions), b - dot(c, base)) for c, b in inequalities]
+    # the equalities' solutions are x = (base + sum_f t_f dir_f) / det with
+    # t_f = x_f over the free columns f: base is table[k][n] at pivots[k],
+    # dir_f is det at f and -table[k][f] at pivots[k].  So c.x >= b reads
+    # (c.dir_f)_f . t >= b det - c.base, one integer row per inequality,
+    # divided by its gcd so the walk's integers stay small
+    reduced = []
+    for row in kept:
+        on_pivots = [row[c] for c in pivots]
+        projected = [row[f] * det - sum(a * r[f] for a, r in zip(on_pivots, table)) for f in free]
+        projected.append(row[n] * det - sum(a * r[n] for a, r in zip(on_pivots, table)))
+        g = math.gcd(*projected) or 1
+        reduced.append([v // g for v in projected])
     found: set[tuple[Fraction, ...]] = set()
     for picked in itertools.combinations(reduced, need):
-        t = solve_unique([c for c, _ in picked], [b for _, b in picked]) if need else []
-        if t is None:
+        square = eliminate(picked, need)
+        if square is None or len(square[1]) < need:
             continue
-        if all(dot(c, t) >= b for c, b in reduced):
-            found.add(tuple(v + sum(tk * d[j] for tk, d in zip(t, directions)) for j, v in enumerate(base)))
+        # t = num / scale, feasible when every reduced row has a.num >= rhs scale
+        rows, _, scale = square
+        num = [r[need] for r in rows]
+        if all(sum(a * t for a, t in zip(r, num)) >= r[need] * scale for r in reduced):
+            x = [0] * n
+            for f, t in zip(free, num):
+                x[f] = t * det
+            for c, r in zip(pivots, table):
+                x[c] = r[n] * scale - sum(r[f] * t for f, t in zip(free, num))
+            found.add(tuple(Fraction(v, det * scale) for v in x))
     return sorted(found)
 
 

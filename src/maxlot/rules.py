@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .core import Lottery, Profile
 from .margins import MarginMatrix, margins
-from .solver import LotteryPolytope, maximal_lotteries, maximin_polytope
+from .solver import LotteryPolytope, maximin_polytope
 
 
 class RuleId(enum.Enum):
@@ -62,10 +62,9 @@ def apply_rule(rule: RuleId, profile: Profile) -> LotteryPolytope:
 
     Borda is lifted to a lottery by uniform randomization over its winner set.
     """
-    if rule is RuleId.ML:
-        return maximal_lotteries(profile)
-    if rule is RuleId.ML3:
-        return ml_cubed(profile)
+    matrix = rule_payoff_matrix(rule, profile)
+    if matrix is not None:
+        return maximin_polytope(matrix)
     if rule is RuleId.RD:
         return LotteryPolytope(profile.agenda, (random_dictatorship(profile),))
     if rule is RuleId.BORDA:

@@ -87,10 +87,6 @@ def never_loses(x, rows) -> bool:
     return all(sum(xi * row[j] for xi, row in support) >= 0 for j in range(len(rows[0])))
 
 
-def _unit(n: int, j: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if k == j else 0) for k in range(n))
-
-
 def _one_maximin(game: list[list[int]]) -> list[int]:
     """One maximin strategy of the integer skew game, up to a positive factor.
 
@@ -141,7 +137,7 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
         for i, w in enumerate(m.agenda.ids):
             if all(m.rows[i][j] > 0 for j in range(n) if j != i):
                 if w in over and all(v >= 0 for g in matrices for v in g.rows[g.agenda.index(w)]):
-                    return [_unit(len(over), over.index(w))]
+                    return [tuple(Fraction(int(x == w)) for x in over)]
                 return []
     games = []
     for m in matrices:
@@ -152,15 +148,14 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
     # from the simplex may still reach past a column off E, which the
     # vertex check below turns into an inequality
     on = [x for x in over if all(m.agenda.index(x) in essential for m, _, essential in games)]
-    one, nought = Fraction(1), Fraction(0)
-    equalities = [((one,) * len(on), one)]
-    inequalities = [(_unit(len(on), k), nought) for k in range(len(on))]
+    equalities = [([1] * len(on), 1)]
+    inequalities = [([int(j == k) for j in range(len(on))], 0) for k in range(len(on))]
     off = []
     for m, game, essential in games:
         rows = [game[m.agenda.index(x)] for x in on]
         for j, column in enumerate(zip(*rows)):
             if j in essential:
-                equalities.append((column, nought))
+                equalities.append((column, 0))
             else:
                 off.append(column)
     while True:
@@ -171,11 +166,11 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
         lost = [c for c in off if any(sum(v * e for v, e in zip(x, c)) < 0 for x in scaled)]
         if not lost:
             break
-        inequalities += [(c, nought) for c in lost]
+        inequalities += [(c, 0) for c in lost]
     out = []
     for v in vertices:
         lifted = dict(zip(on, v))
-        out.append(tuple(lifted.get(x, nought) for x in over))
+        out.append(tuple(lifted.get(x, Fraction(0)) for x in over))
     return out
 
 

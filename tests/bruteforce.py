@@ -81,6 +81,29 @@ def prune_extreme(points):
     return [p for p in uniq if not hull_contains(p, [q for q in uniq if q != p])]
 
 
+def vertex_oracle(n, equalities, inequalities):
+    """All vertices of {x : c.x == b for the equalities, c.x >= b for the
+    inequalities} over n unknowns, sorted.
+
+    Every n-subset of all the rows is solved as a square system, and the
+    solutions that satisfy every row are kept: a point is a vertex exactly
+    when n linearly independent rows are tight at it.
+    """
+    rows = [*equalities, *inequalities]
+
+    def value(coeffs, x):
+        return sum(Fraction(c) * v for c, v in zip(coeffs, x))
+
+    found = set()
+    for picked in itertools.combinations(rows, n):
+        x = _solve_square([c for c, _ in picked], [b for _, b in picked])
+        if x is None:
+            continue
+        if all(value(c, x) == b for c, b in equalities) and all(value(c, x) >= b for c, b in inequalities):
+            found.add(tuple(x))
+    return sorted(found)
+
+
 def maximin_vertex_oracle(rows):
     """All vertices of {x >= 0, sum x = 1, x^T M >= 0} by naive basis search.
 

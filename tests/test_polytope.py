@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import _affine_rank, _solve_square, hull_contains
-from maxlot.linalg import solution_space, solve_unique
+from bruteforce import _affine_rank, _solve_square, hull_contains, vertex_oracle
+from maxlot.linalg import eliminate
 from maxlot.polytope import enumerate_vertices, extreme_points, in_convex_hull
 from maxlot.prng import SplitMix64
 
@@ -22,23 +22,66 @@ def _satisfies(rows, rhs, x) -> bool:
     return all(sum(F(v) * xi for v, xi in zip(row, x)) == b for row, b in zip(rows, rhs))
 
 
+def _eliminated(rows, rhs, n):
+    """`eliminate` on [rows | rhs], with det > 0 checked; None when inconsistent."""
+    solved = eliminate([[*row, b] for row, b in zip(rows, rhs)], n)
+    if solved is not None:
+        assert solved[2] > 0, solved
+    return solved
+
+
+def _unique(rows, rhs):
+    """x[k] = table[k][n] / det when every unknown is a pivot, else None."""
+    n = len(rows[0])
+    solved = _eliminated(rows, rhs, n)
+    if solved is None or len(solved[1]) < n:
+        return None
+    table, _, det = solved
+    return [F(row[n], det) for row in table[:n]]
+
+
+def _space(rows, rhs, n):
+    """The solutions as base + sum_k t_k directions[k], read from the table:
+    one direction per free column f, 1 at f and -table[k][f] / det at
+    pivots[k]; None when inconsistent."""
+    solved = _eliminated(rows, rhs, n)
+    if solved is None:
+        return None
+    table, pivots, det = solved
+    base = [F(0)] * n
+    for row, c in zip(table, pivots):
+        base[c] = F(row[n], det)
+    directions = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        d = [F(0)] * n
+        d[f] = F(1)
+        for row, c in zip(table, pivots):
+            d[c] = F(-row[f], det)
+        directions.append(d)
+    return base, directions
+
+
 class TestLinalg:
     def test_solve_unique(self):
-        rows = [(F(1), F(1)), (F(1), F(-1))]
-        assert solve_unique(rows, (F(3), F(1))) == [F(2), F(1)]
+        # the second pivot is -2, so the table comes back negated with det 2
+        table, pivots, det = eliminate([(F(1), F(1), F(3)), (F(1), F(-1), F(1))], 2)
+        assert (table, pivots, det) == ([[2, 0, 4], [0, 2, 2]], [0, 1], 2)
+        assert _unique([(F(1), F(1)), (F(1), F(-1))], (F(3), F(1))) == [F(2), F(1)]
 
     def test_solve_detects_underdetermined_and_inconsistent(self):
-        assert solve_unique([(F(1), F(1))], (F(1),)) is None
-        assert solve_unique([(F(1), F(0)), (F(1), F(0))], (F(0), F(1))) is None
+        assert _unique([(F(1), F(1))], (F(1),)) is None
+        assert _unique([(F(1), F(0)), (F(1), F(0))], (F(0), F(1))) is None
 
     def test_overdetermined_consistent(self):
         rows = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-        assert solve_unique(rows, (F(2), F(3), F(5))) == [F(2), F(3)]
+        assert _unique(rows, (F(2), F(3), F(5))) == [F(2), F(3)]
 
     def test_solve_unique_matches_oracle_on_square_systems(self):
         # fraction-free elimination swaps rows and divides by the previous
         # pivot; a zero leading entry forces a swap and a copied row makes
-        # the system singular
+        # the system singular.  Row swaps follow the zero entries, not the
+        # signs, so negating the first row flips the sign of the last pivot:
+        # one of each pair below ends on a negative pivot
         gen = SplitMix64(18)
         singular = 0
         for size in range(1, 7):
@@ -51,7 +94,9 @@ class TestLinalg:
                     rows[-1] = [2 * v for v in rows[0]]
                 expected = _solve_square(rows, rhs)
                 singular += expected is None
-                assert solve_unique(rows, rhs) == expected, (size, case)
+                assert _unique(rows, rhs) == expected, (size, case)
+                flipped = [[-v for v in rows[0]], *rows[1:]]
+                assert _unique(flipped, [-rhs[0], *rhs[1:]]) == expected, (size, case)
         assert singular >= 12
 
     def test_solution_space_on_rectangular_systems(self):
@@ -66,15 +111,15 @@ class TestLinalg:
                 rows[-1] = [a + 3 * b for a, b in zip(rows[0], rows[1 % (m - 1)])]
             x = [_entry(gen) for _ in range(n)]
             rhs = [sum(F(v) * xi for v, xi in zip(row, x)) for row in rows]
-            base, directions = solution_space(rows, rhs, n)
+            base, directions = _space(rows, rhs, n)
             assert _satisfies(rows, rhs, base), case
             for d in directions:
                 assert _satisfies(rows, rhs, [b + v for b, v in zip(base, d)]), case
             assert len(directions) == n - _affine_rank([[0] * n] + rows), case
             if m > 1 and case % 2:
                 # the same dependent row with another right-hand side
-                assert solution_space(rows, rhs[:-1] + [rhs[-1] + 1], n) is None, case
-        assert solution_space([[0, 0]], [1], 2) is None
+                assert _space(rows, rhs[:-1] + [rhs[-1] + 1], n) is None, case
+        assert _space([[0, 0]], [1], 2) is None
 
 
 SQUARE = [  # unit square in the plane
@@ -190,3 +235,37 @@ class TestEnumerateVertices:
             ],
         )
         assert verts == [(zero, zero), (zero, one), (one, zero)]
+
+    def test_matches_oracle_on_random_rational_systems(self):
+        # bounded systems inside a simplex, written the way the solver never
+        # writes them: the sum as -sum(x) = -1, rows scaled by positive
+        # rational factors, negative coefficients and right-hand sides, and
+        # repeated and parallel rows
+        gen = SplitMix64(20)
+
+        def positive():
+            return F(1 + gen.below(5), 1 + gen.below(3))
+
+        counts = set()
+        for case in range(48):
+            n = 1 + gen.below(4)
+            k = positive()
+            equalities = [((-k,) * n, -k)]
+            if case % 3 == 0:
+                # another equality through the uniform lottery
+                coeffs = tuple(_entry(gen) for _ in range(n))
+                equalities.append((coeffs, sum(F(c, n) for c in coeffs)))
+            inequalities = [(tuple(positive() if j == i else 0 for j in range(n)), 0) for i in range(n)]
+            for _ in range(gen.below(4)):
+                inequalities.append((tuple(_entry(gen) for _ in range(n)), _entry(gen)))
+            if case % 2:
+                coeffs, bound = inequalities[gen.below(len(inequalities))]
+                factor = positive()
+                inequalities += [(coeffs, bound), (tuple(c * factor for c in coeffs), bound * factor)]
+                if case % 4 == 3:
+                    # a parallel row that cuts deeper
+                    inequalities.append((coeffs, bound + F(1, 2)))
+            verts = enumerate_vertices(n, equalities, inequalities)
+            assert verts == vertex_oracle(n, equalities, inequalities), case
+            counts.add(len(verts))
+        assert 0 in counts and max(counts) >= 3
