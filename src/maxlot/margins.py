@@ -53,17 +53,27 @@ class MarginMatrix:
 def margins(profile: Profile) -> MarginMatrix:
     """Skew-symmetric majority margins of a profile, entries in [-1, 1].
 
-    Weights are tallied as integers over D, the lcm of their denominators,
-    and each entry is divided by D once at the end.
+    Weights are tallied as integers over D, the lcm of their denominators.
     """
-    agenda = profile.agenda
+    scale = math.lcm(*(w.denominator for w in profile.weights.values()))
+    counts = ((order.ranking, w.numerator * (scale // w.denominator)) for order, w in profile.weights.items())
+    return tally(profile.agenda, counts, scale)
+
+
+def tally(agenda: Agenda, counts: Iterable[tuple[Sequence[str], int]], scale: int) -> MarginMatrix:
+    """Margins of rankings with integer multiplicities, over a scale D.
+
+    `counts` yields (ranking, multiplicity) pairs, each ranking listing the
+    whole agenda best first; a ranking may repeat.  With t_ij the total
+    multiplicity ranking i above j, entry (i, j) is (t_ij - t_ji) / D, each
+    divided once.  D is the electorate's total multiplicity when the
+    entries are to lie in [-1, 1].
+    """
     n = len(agenda)
     pos = {x: k for k, x in enumerate(agenda.ids)}
-    scale = math.lcm(*(w.denominator for w in profile.weights.values()))
-    above = [[0] * n for _ in range(n)]  # D times the weight ranking i over j
-    for order, w in profile.weights.items():
-        count = w.numerator * (scale // w.denominator)
-        placed = [pos[x] for x in order.ranking]
+    above = [[0] * n for _ in range(n)]  # t_ij
+    for ranking, count in counts:
+        placed = [pos[x] for x in ranking]
         for k, i in enumerate(placed):
             row = above[i]
             for j in placed[k + 1 :]:

@@ -217,5 +217,34 @@ def mcgarvey_oracle(matrix):
     return make_profile(matrix.agenda, tally.items()), c
 
 
+def spatial_oracle(n_alternatives, n_voters, dim, seed):
+    """The spatial profile drawn with Fraction coordinates on the 2^-32 grid.
+
+    Same draws as `maxlot.sim.gen_spatial`: one point per alternative in id
+    order, then one per voter, each coordinate `next_u64() >> 32` over 2^32;
+    voters rank by exact Fraction squared distance, ties by id.
+    """
+    from maxlot import Agenda, LinearOrder, make_profile
+    from maxlot.prng import SplitMix64
+
+    agenda = Agenda(f"a{i:02d}" for i in range(n_alternatives))
+    gen = SplitMix64(seed)
+    grid = 1 << 32
+
+    def point():
+        return tuple(Fraction(gen.next_u64() >> 32, grid) for _ in range(dim))
+
+    spots = {x: point() for x in agenda}
+    entries = []
+    for _ in range(n_voters):
+        here = point()
+        ranked = sorted(
+            agenda.ids,
+            key=lambda x: (sum((a - b) ** 2 for a, b in zip(spots[x], here)), x),
+        )
+        entries.append((LinearOrder(ranked), 1))
+    return make_profile(agenda, entries)
+
+
 def affinely_independent(vectors) -> bool:
     return _affine_rank(vectors) == len(vectors) - 1

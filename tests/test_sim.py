@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,10 @@ from maxlot import (
     maximal_lotteries,
     run_sim,
 )
+from maxlot.cli import main
 from maxlot.prng import derive_seed
+
+from bruteforce import spatial_oracle
 
 F = Fraction
 
@@ -59,6 +64,17 @@ class TestSpatial:
         p = gen_spatial(4, 7, dim=3, seed=123)
         assert sum(p.weights.values()) == 1
         assert len(p.agenda) == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    @pytest.mark.parametrize("voters", [1, 25])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_int_distances_match_fraction_oracle(self, n, voters, dim):
+        for seed in range(30):
+            assert gen_spatial(n, voters, dim, seed) == spatial_oracle(n, voters, dim, seed)
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            gen_spatial(3, 5, 0, seed=1)
 
 
 class TestRunSim:
@@ -123,16 +139,45 @@ def _per_trial_stats(cfg: SimConfig) -> SimStats:
 def test_one_tally_per_trial(monkeypatch, generator, seed):
     cfg = SimConfig(generator, 5, 6, 30, seed=seed)
     calls = []
-    tally = maxlot.sim.margins
+    tally = maxlot.sim.tally
 
-    def counted(profile):
-        calls.append(profile)
-        return tally(profile)
+    def counted(agenda, counts, scale):
+        calls.append(scale)
+        return tally(agenda, counts, scale)
 
-    monkeypatch.setattr(maxlot.sim, "margins", counted)
+    monkeypatch.setattr(maxlot.sim, "tally", counted)
     stats = run_sim(cfg)
     assert len(calls) == cfg.trials
     assert stats == _per_trial_stats(cfg)
+
+
+# sha256 of the sorted-key JSON `results` of `maxlot simulate`, recorded with
+# the Fraction-coordinate generators; any change to the seeded draws, the
+# distance order or the statistics changes a digest.  The even electorates
+# (6 voters) cover tied trials.
+GOLDEN_SIMULATE = [
+    ("impartial", 7, 25, 40, 20260808, 2, "23bd83d89d9f7a21d4bd58de73c0b1874113a6a5d7753cf38884629c58bdbaae"),
+    ("spatial", 7, 25, 20, 20260808, 1, "4a7ce68dd4b849e3561e5d495b1abdd08f8d517dc1d7bb21f2da521abd1cc7ee"),
+    ("spatial", 7, 25, 20, 4, 2, "d4913db78750e4bf2df1d66b23897f22b1444a095e971934ea3ed747e978391b"),
+    ("spatial", 7, 25, 20, 11, 3, "da9028bb1770e54aeda1034e9706038c5d30e282777018e4afc6df5e48c91567"),
+    ("impartial", 5, 6, 60, 4, 2, "62796427164cbe6b1477fdb6095b347daa07fe336bc87655c5099da4ba663c90"),
+    ("spatial", 5, 6, 60, 20260808, 2, "ec5d0b928106a50645888de93fe3600571abe9066d8dd0b3c91cea8f7bb90b89"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, alts, voters, trials, seed, dim, digest",
+    GOLDEN_SIMULATE,
+    ids=[f"{g}-{a}x{v}-dim{d}-seed{s}" for g, a, v, _, s, d, _ in GOLDEN_SIMULATE],
+)
+def test_simulate_results_are_golden(capsys, generator, alts, voters, trials, seed, dim, digest):
+    argv = [
+        "simulate", "--generator", generator, "--alts", str(alts), "--voters", str(voters),
+        "--trials", str(trials), "--seed", str(seed), "--dim", str(dim),
+    ]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 
 
 class TestConfigAndStats:
@@ -147,6 +192,11 @@ class TestConfigAndStats:
             SimConfig("impartial_culture", 3, 3, 0, 0)
         with pytest.raises(ValueError):
             SimConfig("spatial", 3, 3, 10, 0, dim=0)
+
+    def test_too_many_alternatives_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="at most 99"):
+            SimConfig("impartial_culture", 100, 3, 10, 0)
+        SimConfig("impartial_culture", 99, 3, 10, 0)
 
     def test_stats_json_shape(self):
         stats = SimStats(trials=4)
