@@ -5,10 +5,11 @@ AxiomVerdict.  A failed verdict always carries a witness: the profiles,
 lotteries, and subsets involved, sufficient to reproduce the failing
 membership or equality test through the public API.
 
-Set-valued rules are handled exactly through their halfspace descriptions
-(payoff matrices); single-valued rules through their unique lottery.  Random
-instance generation keeps weight denominators bounded so every comparison
-stays exact and fast.
+The checkers only state the axioms: every rule outcome, membership test and
+intersection of outcomes comes from `rules` (`apply_rule`, `rule_contains`,
+`outcome_vertices`), which alone tells matrix rules from point rules.
+Random instance generation keeps weight denominators bounded so every
+comparison stays exact and fast.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .core import (
 )
 from .polytope import extreme_points
 from .prng import SplitMix64, derive_seed
-from .rules import RuleId, apply_rule, rule_payoff_matrix
-from .solver import condorcet_winners, maximin_vertices, never_loses
+from .rules import RuleId, apply_rule, outcome_vertices, rule_contains
+from .solver import condorcet_winners
 
 AXIOMS = (
     "population",
@@ -71,28 +72,11 @@ class AxiomVerdict:
         }
 
 
-def rule_contains(rule: RuleId, profile: Profile, lottery: Lottery) -> bool:
-    """Exact membership of a lottery in the rule's outcome set."""
-    if lottery.agenda != profile.agenda:
-        raise ValueError("lottery and profile must share an agenda")
-    matrix = rule_payoff_matrix(rule, profile)
-    if matrix is not None:
-        return never_loses(lottery.probs, matrix.rows)
-    return lottery == apply_rule(rule, profile).vertices[0]
-
-
 def outcome_intersection(rule: RuleId, left: Profile, right: Profile) -> list[Lottery]:
     """Vertices of f(left) intersected with f(right); empty list when disjoint."""
     if left.agenda != right.agenda:
         raise ValueError("profiles must share an agenda")
-    m1 = rule_payoff_matrix(rule, left)
-    m2 = rule_payoff_matrix(rule, right)
-    agenda = left.agenda
-    if m1 is not None and m2 is not None:
-        return [Lottery(agenda, v) for v in maximin_vertices([m1, m2], agenda.ids)]
-    v1 = apply_rule(rule, left).vertices[0]
-    v2 = apply_rule(rule, right).vertices[0]
-    return [v1] if v1 == v2 else []
+    return [Lottery(left.agenda, v) for v in outcome_vertices(rule, [left, right], left.agenda.ids)]
 
 
 def check_population_consistency(
@@ -142,33 +126,39 @@ def check_strong_population_consistency(
     return AxiomVerdict("strong-population", rule, witness is None, witness)
 
 
-def _vertex_tuples(vertices: Iterable[Lottery]) -> list[tuple[Fraction, ...]]:
-    return sorted(v.probs for v in vertices)
-
-
-def check_composition_consistency(
-    rule: RuleId, profile: Profile, component: Iterable[str], pivot: str
-) -> AxiomVerdict:
-    """Outcomes must factor exactly through the cloned-down and inner profiles."""
+def _component(profile: Profile, component: Iterable[str], pivot: str) -> tuple[tuple[str, ...], list[str]]:
+    """The validated component around `pivot`, and the ids outside it."""
     members = profile.agenda.subset(component)
     if pivot not in members:
         raise ValueError("pivot must belong to the component")
     if not is_component(profile, members):
         raise ValueError("subset is not a component of the profile")
-    outer_ids = [x for x in profile.agenda if x not in members] + [pivot]
-    outer = apply_rule(rule, restrict(profile, outer_ids))
+    return members, [x for x in profile.agenda if x not in members]
+
+
+def check_composition_consistency(
+    rule: RuleId, profile: Profile, component: Iterable[str], pivot: str
+) -> AxiomVerdict:
+    """Outcomes must factor exactly through the cloned-down and inner profiles.
+
+    Composing a vertex p of the outer outcome with a vertex q of the inner
+    one gives an extreme point: the coordinates outside the component fix p
+    (and with it p's pivot share), and a positive pivot share then fixes q.
+    So the sorted, duplicate-free compositions are already the vertex set.
+    """
+    members, outside = _component(profile, component, pivot)
+    outer = apply_rule(rule, restrict(profile, outside + [pivot]))
     inner = apply_rule(rule, restrict(profile, members))
-    candidates = compose_lottery_sets(outer.vertices, inner.vertices, pivot)
-    composed = extreme_points([v.probs for v in candidates])
+    composed = compose_lottery_sets(outer.vertices, inner.vertices, pivot)
     whole = apply_rule(rule, profile)
-    passed = composed == _vertex_tuples(whole.vertices)
+    passed = composed == list(whole.vertices)
     witness = None
     if not passed:
         witness = {
             "profile": profile,
             "component": members,
             "pivot": pivot,
-            "composed": [Lottery(profile.agenda, t) for t in composed],
+            "composed": composed,
             "returned": list(whole.vertices),
         }
     return AxiomVerdict("composition", rule, passed, witness)
@@ -178,15 +168,9 @@ def check_cloning_consistency(
     rule: RuleId, profile: Profile, component: Iterable[str], pivot: str
 ) -> AxiomVerdict:
     """Probabilities outside a component ignore the component's inner structure."""
-    members = profile.agenda.subset(component)
-    if pivot not in members:
-        raise ValueError("pivot must belong to the component")
-    if not is_component(profile, members):
-        raise ValueError("subset is not a component of the profile")
-    outside = [x for x in profile.agenda if x not in members]
-    outer_ids = outside + [pivot]
+    members, outside = _component(profile, component, pivot)
     whole = apply_rule(rule, profile)
-    reduced = apply_rule(rule, restrict(profile, outer_ids))
+    reduced = apply_rule(rule, restrict(profile, outside + [pivot]))
     proj_whole = extreme_points([tuple(v.prob(x) for x in outside) for v in whole.vertices])
     proj_reduced = extreme_points([tuple(v.prob(x) for x in outside) for v in reduced.vertices])
     passed = proj_whole == proj_reduced
@@ -274,7 +258,7 @@ def check_agenda_consistency(
     lhs = sorted(
         tuple(v.prob(x) for x in common) for v in whole.vertices if set(v.support()) <= set(common)
     )
-    rhs = _restricted_intersection(rule, profile, a1, a2, common)
+    rhs = outcome_vertices(rule, [restrict(profile, a1), restrict(profile, a2)], common)
     passed = lhs == rhs
     witness = None
     if not passed:
@@ -287,24 +271,6 @@ def check_agenda_consistency(
             "restricted_side": rhs,
         }
     return AxiomVerdict("agenda", rule, passed, witness)
-
-
-def _restricted_intersection(rule, profile, a1, a2, common) -> list[tuple[Fraction, ...]]:
-    """Vertices (as tuples over `common`) of f(R|a1) meet f(R|a2)."""
-    left = restrict(profile, a1)
-    right = restrict(profile, a2)
-    m1 = rule_payoff_matrix(rule, left)
-    m2 = rule_payoff_matrix(rule, right)
-    if m1 is not None and m2 is not None:
-        return maximin_vertices([m1, m2], common)
-    v1 = apply_rule(rule, left).vertices[0]
-    v2 = apply_rule(rule, right).vertices[0]
-    if set(v1.support()) <= set(common) and set(v2.support()) <= set(common):
-        t1 = tuple(v1.prob(x) for x in common)
-        t2 = tuple(v2.prob(x) for x in common)
-        if t1 == t2:
-            return [t1]
-    return []
 
 
 # --- random instances -------------------------------------------------------
@@ -331,7 +297,7 @@ def random_component_instance(
     gen: SplitMix64, max_alternatives: int = 5, max_ballots: int = 6
 ) -> tuple[Profile, tuple[str, ...], str]:
     """Profile with a guaranteed component, built by splicing two random profiles."""
-    inner_size = 2 + gen.below(2)
+    inner_size = 2 + gen.below(min(2, max_alternatives - 2))
     outer_size = 2 + gen.below(max(1, max_alternatives - inner_size))
     pivot = "p0"
     outer_ids = (pivot,) + tuple(f"o{i}" for i in range(outer_size - 1))
@@ -367,28 +333,19 @@ def random_check(
     max_ballots: int = 6,
 ) -> AxiomVerdict:
     """One randomly generated admissible instance of the named axiom."""
-    if axiom == "population":
+    if axiom in ("population", "strong-population"):
         agenda = _random_agenda(gen, max_alternatives)
-        return check_population_consistency(
+        check = check_population_consistency if axiom == "population" else check_strong_population_consistency
+        return check(
             rule,
             random_profile(gen, agenda, max_ballots),
             random_profile(gen, agenda, max_ballots),
             _random_coefficient(gen),
         )
-    if axiom == "strong-population":
-        agenda = _random_agenda(gen, max_alternatives)
-        return check_strong_population_consistency(
-            rule,
-            random_profile(gen, agenda, max_ballots),
-            random_profile(gen, agenda, max_ballots),
-            _random_coefficient(gen),
-        )
-    if axiom == "composition":
+    if axiom in ("composition", "cloning"):
         profile, component, pivot = random_component_instance(gen, max_alternatives, max_ballots)
-        return check_composition_consistency(rule, profile, component, pivot)
-    if axiom == "cloning":
-        profile, component, pivot = random_component_instance(gen, max_alternatives, max_ballots)
-        return check_cloning_consistency(rule, profile, component, pivot)
+        check = check_composition_consistency if axiom == "composition" else check_cloning_consistency
+        return check(rule, profile, component, pivot)
     if axiom == "condorcet":
         agenda = _random_agenda(gen, max_alternatives)
         return check_condorcet_consistency(rule, random_profile(gen, agenda, max_ballots))
@@ -421,6 +378,8 @@ def run_random_suite(
         raise ValueError(
             f"max_alternatives must be between 2 and {len(_LETTERS)}, got {max_alternatives}"
         )
+    if axiom in ("composition", "cloning") and max_alternatives < 3:
+        raise ValueError(f"max_alternatives must be at least 3 for {axiom}, got {max_alternatives}")
     if max_ballots < 1:
         raise ValueError(f"max_ballots must be at least 1, got {max_ballots}")
     out = []

@@ -8,6 +8,7 @@ all checks passed), 1 at least one axiom check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -101,7 +102,7 @@ def format_ballots(profile: Profile) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
@@ -269,17 +270,7 @@ def _cmd_simulate(ns, argv, started) -> tuple[dict, int]:
         dim=ns.dim,
     )
     stats = run_sim(cfg)
-    results = {
-        "config": {
-            "generator": cfg.generator,
-            "n_alternatives": cfg.n_alternatives,
-            "n_voters": cfg.n_voters,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "dim": cfg.dim,
-        },
-        "stats": stats.as_json(),
-    }
+    results = {"config": dataclasses.asdict(cfg), "stats": stats.as_json()}
     digest = _digest(json.dumps(results["config"], sort_keys=True))
     return _report(argv, digest, results, started), 0
 

@@ -9,13 +9,13 @@ produced from profiles always have entries in [-1, 1]; matrices built by hand
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Agenda, LinearOrder, Profile, make_profile
+from .linalg import integers
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
@@ -55,9 +55,8 @@ def margins(profile: Profile) -> MarginMatrix:
 
     Weights are tallied as integers over D, the lcm of their denominators.
     """
-    scale = math.lcm(*(w.denominator for w in profile.weights.values()))
-    counts = ((order.ranking, w.numerator * (scale // w.denominator)) for order, w in profile.weights.items())
-    return tally(profile.agenda, counts, scale)
+    (counts,), scale = integers([profile.weights.values()])
+    return tally(profile.agenda, zip((order.ranking for order in profile.weights), counts), scale)
 
 
 def tally(agenda: Agenda, counts: Iterable[tuple[Sequence[str], int]], scale: int) -> MarginMatrix:
@@ -115,15 +114,14 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
         raise ValueError("the zero matrix has no margin-realizing profile with defined scale")
     ids = matrix.agenda.ids
     n = len(ids)
-    scale = math.lcm(*(v.denominator for row in matrix.rows for v in row))
+    scaled, scale = integers(matrix.rows)
     tally: dict[tuple[str, ...], int] = {}
     total = 0
     for i in range(n):
         for j in range(n):
-            m = matrix.rows[i][j]
-            if m <= 0:
+            count = scaled[i][j]
+            if count <= 0:
                 continue
-            count = m.numerator * (scale // m.denominator)
             total += count
             pair = (ids[i], ids[j])
             others = [ids[k] for k in range(n) if k != i and k != j]

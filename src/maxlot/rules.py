@@ -1,14 +1,23 @@
 """Comparison rules: random dictatorship, Borda scoring, and the cubed-margin
-variant of maximal lotteries, plus a single dispatch surface for checkers."""
+variant of maximal lotteries, and the one place that tells the two kinds of
+rule apart.
+
+A matrix rule (ML, ML3) chooses the lotteries that never lose against one
+payoff matrix per profile, a polytope; a point rule (RD, Borda) chooses one
+lottery.  `apply_rule` evaluates a rule, `rule_contains` tests membership in
+its outcome, and `outcome_vertices` intersects its outcomes at several
+profiles, so the axiom checkers never ask which kind a rule is.
+"""
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from typing import Sequence
 
 from .core import Lottery, Profile
 from .margins import MarginMatrix, margins
-from .solver import LotteryPolytope, maximin_polytope
+from .solver import LotteryPolytope, maximin_polytope, maximin_vertices, never_loses
 
 
 class RuleId(enum.Enum):
@@ -57,24 +66,27 @@ def ml_cubed(profile: Profile) -> LotteryPolytope:
     return maximin_polytope(cubed_margins(profile))
 
 
-def apply_rule(rule: RuleId, profile: Profile) -> LotteryPolytope:
-    """Evaluate a rule; single-valued rules come back as one-vertex polytopes.
-
-    Borda is lifted to a lottery by uniform randomization over its winner set.
-    """
-    matrix = rule_payoff_matrix(rule, profile)
-    if matrix is not None:
-        return maximin_polytope(matrix)
+def _point(rule: RuleId, profile: Profile) -> Lottery:
+    """The single outcome lottery of a point rule; Borda randomizes uniformly
+    over its winner set."""
     if rule is RuleId.RD:
-        return LotteryPolytope(profile.agenda, (random_dictatorship(profile),))
+        return random_dictatorship(profile)
     if rule is RuleId.BORDA:
         _, winners = borda(profile)
-        return LotteryPolytope(profile.agenda, (Lottery.uniform(profile.agenda, winners),))
+        return Lottery.uniform(profile.agenda, winners)
     raise ValueError(f"unhandled rule {rule!r}")
 
 
+def apply_rule(rule: RuleId, profile: Profile) -> LotteryPolytope:
+    """Evaluate a rule; point rules come back as one-vertex polytopes."""
+    matrix = rule_payoff_matrix(rule, profile)
+    if matrix is not None:
+        return maximin_polytope(matrix)
+    return LotteryPolytope(profile.agenda, (_point(rule, profile),))
+
+
 def rule_payoff_matrix(rule: RuleId, profile: Profile) -> MarginMatrix | None:
-    """Halfspace description for the set-valued rules, None for point rules.
+    """Halfspace description for the matrix rules, None for point rules.
 
     When present, a lottery belongs to the rule's polytope exactly when it
     never loses in expectation against this matrix.
@@ -84,3 +96,32 @@ def rule_payoff_matrix(rule: RuleId, profile: Profile) -> MarginMatrix | None:
     if rule is RuleId.ML3:
         return cubed_margins(profile)
     return None
+
+
+def rule_contains(rule: RuleId, profile: Profile, lottery: Lottery) -> bool:
+    """Exact membership of a lottery in the rule's outcome set."""
+    if lottery.agenda != profile.agenda:
+        raise ValueError("lottery and profile must share an agenda")
+    matrix = rule_payoff_matrix(rule, profile)
+    if matrix is not None:
+        return never_loses(lottery.probs, matrix.rows)
+    return lottery == _point(rule, profile)
+
+
+def outcome_vertices(
+    rule: RuleId, profiles: Sequence[Profile], over: Sequence[str]
+) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices, as tuples over `over`, of the lotteries that are 0 off
+    `over` and lie in the rule's outcome at every profile; every profile's
+    agenda contains `over`."""
+    matrices = [rule_payoff_matrix(rule, p) for p in profiles]
+    if matrices[0] is not None:
+        return maximin_vertices(matrices, over)
+    keep = set(over)
+    points = set()
+    for profile in profiles:
+        point = _point(rule, profile)
+        if not keep.issuperset(point.support()):
+            return []
+        points.add(tuple(point.prob(x) for x in over))
+    return list(points) if len(points) == 1 else []

@@ -27,7 +27,6 @@ its budget with a ValueError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -228,11 +227,11 @@ def sample(lottery: Lottery, seed: int) -> str:
     cumulative ranges in canonical agenda order.  Deterministic in
     (lottery, seed).
     """
-    denom = math.lcm(*(p.denominator for p in lottery.probs))
+    (counts,), denom = integers([lottery.probs])
     ticket = SplitMix64(seed).below(denom)
     running = 0
-    for x, p in zip(lottery.agenda, lottery.probs):
-        running += p.numerator * (denom // p.denominator)
+    for x, count in zip(lottery.agenda, counts):
+        running += count
         if ticket < running:
             return x
     raise AssertionError("cumulative ranges must cover every ticket")

@@ -28,9 +28,10 @@ from maxlot import (
     run_random_suite,
     search_population_inconsistency,
 )
-from maxlot.axioms import AxiomVerdict, _restricted_intersection
-from maxlot.prng import SplitMix64
-from maxlot.rules import rule_payoff_matrix
+from maxlot.axioms import AxiomVerdict, random_component_instance
+from maxlot.polytope import extreme_points
+from maxlot.prng import SplitMix64, derive_seed
+from maxlot.rules import outcome_vertices, rule_payoff_matrix
 from maxlot.sim import gen_impartial_culture
 
 from bruteforce import maximin_vertex_oracle
@@ -75,7 +76,7 @@ class TestPopulationConsistency:
             (shared[0].probs[i] + shared[1].probs[i]) / 2 for i in range(3)
         )
         # a profile met with itself gives back its own outcome set
-        for rule in (RuleId.ML, RuleId.ML3):
+        for rule in RuleId:
             for p in (left, right, *ml3_witness_profiles()):
                 assert outcome_intersection(rule, p, p) == list(apply_rule(rule, p).vertices)
 
@@ -191,6 +192,14 @@ class TestCloningConsistency:
     def test_singleton_component(self, strict_winner_profile):
         assert check_cloning_consistency(RuleId.ML, strict_winner_profile, ("c",), "c").passed
 
+    def test_borda_failure_carries_a_witness(self):
+        failed = [v for v in run_random_suite("cloning", RuleId.BORDA, 20, seed=0) if not v.passed]
+        assert failed
+        witness = failed[0].witness
+        outside = witness["outside"]
+        assert set(outside).isdisjoint(witness["component"]) and witness["pivot"] in witness["component"]
+        assert witness["projection_full"] != witness["projection_reduced"]
+
 
 class TestCondorcetConsistency:
     def test_ml_passes_rd_fails(self, strict_winner_profile):
@@ -279,10 +288,40 @@ class TestIntersectionsMatchOracle:
             m1 = rule_payoff_matrix(rule, restrict(profile, a1))
             m2 = rule_payoff_matrix(rule, restrict(profile, a2))
             stacked = [m1.rows[m1.agenda.index(x)] + m2.rows[m2.agenda.index(x)] for x in common]
-            shared = _restricted_intersection(rule, profile, a1, a2, common)
+            shared = outcome_vertices(rule, [restrict(profile, a1), restrict(profile, a2)], common)
             assert shared == maximin_vertex_oracle(stacked), (profile, a1, a2)
             sizes.append(len(shared))
         assert 0 in sizes and any(k > 0 for k in sizes)
+
+
+def test_point_rules_meet_only_inside_over():
+    # restricted to {a, b} every ballot puts a first, so a wins outside the
+    # overlap {b, c}; restricted to {b, c} the winner is b
+    profile = profile_from({"a>b>c": 1})
+    left, right = restrict(profile, ("a", "b")), restrict(profile, ("b", "c"))
+    flipped = profile_from({"b>a>c": 1})
+    for rule in (RuleId.RD, RuleId.BORDA):
+        assert outcome_vertices(rule, [right, right], ("b", "c")) == [(F(1), F(0))]
+        assert outcome_vertices(rule, [left, right], ("b", "c")) == []
+        assert outcome_vertices(rule, [profile, flipped], profile.agenda.ids) == []
+
+
+@pytest.mark.parametrize("rule", list(RuleId))
+def test_compositions_are_their_own_extreme_points(rule):
+    """Composing vertices of the outer and inner outcomes yields only extreme
+    points, so the composition check needs no hull test; checked on the
+    random composition instances of three suite seeds."""
+    several = 0
+    for seed in range(3):
+        for t in range(20):
+            profile, component, pivot = random_component_instance(SplitMix64(derive_seed(seed, t)))
+            outside = [x for x in profile.agenda if x not in component]
+            outer = apply_rule(rule, restrict(profile, outside + [pivot]))
+            inner = apply_rule(rule, restrict(profile, component))
+            composed = [v.probs for v in compose_lottery_sets(outer.vertices, inner.vertices, pivot)]
+            assert extreme_points(composed) == composed
+            several += len(composed) > 1
+    assert rule in (RuleId.RD, RuleId.BORDA) or several
 
 
 class TestVerdictPlumbing:
@@ -308,6 +347,15 @@ class TestVerdictPlumbing:
     def test_unknown_axiom_rejected(self):
         with pytest.raises(ValueError):
             random_check("monotonicity", RuleId.ML, SplitMix64(0))
+
+    @pytest.mark.parametrize("bound", [3, 4, 5, 6])
+    def test_component_instances_respect_the_bound(self, bound):
+        sizes = set()
+        for t in range(200):
+            profile, component, pivot = random_component_instance(SplitMix64(t), bound)
+            assert pivot in component and len(profile.agenda) <= bound
+            sizes.add(len(profile.agenda))
+        assert max(sizes) == bound
 
 
 class TestRandomSuitesSmoke:

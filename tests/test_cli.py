@@ -243,6 +243,19 @@ class TestCheckCommand:
         with pytest.raises(SystemExit):
             run_cli(capsys, "check", "condorcet", str(path), "--rule", "stv")
 
+    @pytest.mark.parametrize("axiom", ["composition", "cloning"])
+    def test_component_axioms_need_three_alternatives(self, capsys, axiom):
+        code, report, err = run_cli(
+            capsys, "check", axiom, "--rule", "ml", "--random", "--max-alternatives", "2"
+        )
+        assert code == 2 and report is None
+        assert "max_alternatives must be" in err
+        code, report, _ = run_cli(
+            capsys, "check", axiom, "--rule", "ml", "--random", "--max-alternatives", "3",
+            "--trials", "5",
+        )
+        assert code == 0 and report["results"]["checked"] == 5
+
 
 class TestMcgarveyCommand:
     def test_cycle_roundtrip(self, tmp_path, capsys):
@@ -353,3 +366,22 @@ def test_zero_denominator_exits_2(tmp_path, capsys, text, argv, token):
     assert code == 2 and report is None
     assert repr(token) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (EXAMPLE_TEXT, ["solve", "--rule", "ml"]),
+        (TIE_TEXT, ["solve", "--rule", "borda"]),
+        ("a b c\n0 1 -1\n-1 0 1\n1 -1 0\n", ["mcgarvey"]),
+    ],
+)
+def test_byte_order_mark_is_ignored(tmp_path, capsys, text, argv):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, expected, _ = run_cli(capsys, argv[0], str(plain), *argv[1:])
+    assert code == 0
+    code, report, _ = run_cli(capsys, argv[0], str(marked), *argv[1:])
+    assert code == 0
+    assert report["results"] == expected["results"]
