@@ -188,7 +188,8 @@ def _cmd_check(ns, argv, started) -> tuple[dict, int]:
         verdicts = run_random_suite(
             axiom, rule, ns.trials, ns.seed, ns.max_alternatives, ns.max_ballots
         )
-        digest = _digest(f"random:{axiom}:{rule.value}:{ns.trials}:{ns.seed}")
+        bounds = f"{ns.max_alternatives}:{ns.max_ballots}"
+        digest = _digest(f"random:{axiom}:{rule.value}:{ns.trials}:{ns.seed}:{bounds}")
     else:
         verdicts = [_fixed_check(axiom, rule, profiles, ns)]
         digest = _digest(*texts)

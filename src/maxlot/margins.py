@@ -1,17 +1,21 @@
 """Majority margins and constructive decompositions of skew-symmetric matrices.
 
 A margin matrix stores, for every ordered pair (x, y), the fraction of the
-electorate preferring x to y minus the fraction preferring y to x.  Matrices
-produced from profiles always have entries in [-1, 1]; matrices built by hand
-(for synthesis) may carry any rationals as long as they are skew-symmetric.
+electorate preferring x to y minus the fraction preferring y to x, as int
+numerators over one positive scale in lowest terms; `rows` is the `Fraction`
+view.  Matrices produced from profiles always have entries in [-1, 1];
+matrices built by hand (for synthesis) may carry any rationals as long as
+they are skew-symmetric.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import Agenda, LinearOrder, Profile, make_profile
@@ -22,32 +26,49 @@ _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
 @dataclass(frozen=True)
 class MarginMatrix:
-    agenda: Agenda
-    rows: tuple[tuple[Fraction, ...], ...]
+    """Skew-symmetric matrix over an agenda: entry (i, j) is num[i][j] / scale,
+    in lowest terms, so equal matrices compare and hash equal and (num, scale)
+    is `linalg.integers(rows)`.  The constructor takes any rationals over an
+    int scale >= 1; int rows build no `Fraction`."""
 
-    def __post_init__(self):
-        n = len(self.agenda)
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+    agenda: Agenda
+    num: tuple[tuple[int, ...], ...]
+    scale: int
+
+    def __init__(self, agenda: Agenda, rows, scale: int = 1):
+        if scale < 1:
+            raise ValueError("scale must be a positive integer")
+        n = len(agenda)
+        num = tuple(tuple(row) for row in rows)
+        if len(num) != n or any(len(r) != n for r in num):
             raise ValueError("matrix shape must match the agenda")
+        if not all(type(v) is int for row in num for v in row):
+            num, d = integers([[Fraction(v) for v in row] for row in num])
+            scale *= d
+        g = math.gcd(scale, *(v for row in num for v in row))
+        num = tuple(tuple(v // g for v in row) for row in num)
         for i in range(n):
-            if rows[i][i] != 0:
+            if num[i][i]:
                 raise ValueError("diagonal must be zero")
             for j in range(i + 1, n):
-                if rows[i][j] != -rows[j][i]:
+                if num[i][j] != -num[j][i]:
                     raise ValueError("matrix must be skew-symmetric")
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(agenda=agenda, num=num, scale=scale // g)  # frozen: bypass __setattr__
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.num)
 
     def entry(self, x: str, y: str) -> Fraction:
-        return self.rows[self.agenda.index(x)][self.agenda.index(y)]
+        return Fraction(self.num[self.agenda.index(x)][self.agenda.index(y)], self.scale)
 
     def submatrix(self, subset: Iterable[str]) -> "MarginMatrix":
         keep = self.agenda.subset(subset)
         idx = [self.agenda.index(x) for x in keep]
-        return MarginMatrix(Agenda(keep), tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
+        return MarginMatrix(Agenda(keep), tuple(tuple(self.num[i][j] for j in idx) for i in idx), self.scale)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(v for row in self.num for v in row)
 
 
 def margins(profile: Profile) -> MarginMatrix:
@@ -77,22 +98,22 @@ def tally(agenda: Agenda, counts: Iterable[tuple[Sequence[str], int]], scale: in
             row = above[i]
             for j in placed[k + 1 :]:
                 row[j] += count
-    rows = tuple(tuple(Fraction(above[i][j] - above[j][i], scale) for j in range(n)) for i in range(n))
-    return MarginMatrix(agenda, rows)
+    diffs = tuple(tuple(above[i][j] - above[j][i] for j in range(n)) for i in range(n))
+    return MarginMatrix(agenda, diffs, scale)
 
 
 def is_regular(matrix: MarginMatrix, subset: Iterable[str]) -> bool:
     """Rows inside the subset sum to zero over the subset's columns."""
     keep = matrix.agenda.subset(subset)
     idx = [matrix.agenda.index(x) for x in keep]
-    return all(sum(matrix.rows[i][j] for j in idx) == 0 for i in idx)
+    return all(sum(matrix.num[i][j] for j in idx) == 0 for i in idx)
 
 
 def is_strongly_regular(matrix: MarginMatrix, subset: Iterable[str]) -> bool:
     """Every entry inside the subset block is zero."""
     keep = matrix.agenda.subset(subset)
     idx = [matrix.agenda.index(x) for x in keep]
-    return all(matrix.rows[i][j] == 0 for i in idx for j in idx)
+    return not any(matrix.num[i][j] for i in idx for j in idx)
 
 
 def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
@@ -105,21 +126,19 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
     with any relabeling that leaves the matrix invariant, so symmetric
     matrices yield symmetric profiles.
 
-    The entries are scaled to integers by the lcm D of their denominators,
-    so each order's weight is tallied as an integer multiplicity (the sum of
-    the scaled entries of the positive pairs it places adjacently) and
+    Each order's weight is tallied as an integer multiplicity, the sum of
+    the numerators of the positive pairs it places adjacently, and
     `make_profile` normalizes the multiplicities to the exact weights.
     """
     if matrix.is_zero():
         raise ValueError("the zero matrix has no margin-realizing profile with defined scale")
     ids = matrix.agenda.ids
     n = len(ids)
-    scaled, scale = integers(matrix.rows)
     tally: dict[tuple[str, ...], int] = {}
     total = 0
     for i in range(n):
         for j in range(n):
-            count = scaled[i][j]
+            count = matrix.num[i][j]
             if count <= 0:
                 continue
             total += count
@@ -130,7 +149,7 @@ def mcgarvey(matrix: MarginMatrix) -> tuple[Profile, Fraction]:
                 ranking = arrangement[:k] + pair + arrangement[k + 1 :]
                 tally[ranking] = tally.get(ranking, 0) + count
     profile = make_profile(matrix.agenda, ((LinearOrder(r), w) for r, w in tally.items()))
-    return profile, Fraction(scale, total)
+    return profile, Fraction(matrix.scale, total)
 
 
 @dataclass(frozen=True)
@@ -151,13 +170,13 @@ class CycleTerm:
 def cycle_incidence(agenda: Agenda, cycle: Sequence[str]) -> MarginMatrix:
     """Skew incidence matrix of a directed cycle: +1 forward, -1 backward."""
     n = len(agenda)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for k, x in enumerate(cycle):
         y = cycle[(k + 1) % len(cycle)]
         i, j = agenda.index(x), agenda.index(y)
-        rows[i][j] = Fraction(1)
-        rows[j][i] = Fraction(-1)
-    return MarginMatrix(agenda, tuple(tuple(r) for r in rows))
+        rows[i][j] = 1
+        rows[j][i] = -1
+    return MarginMatrix(agenda, rows)
 
 
 def cycle_decompose(matrix: MarginMatrix, prefix: Iterable[str]) -> list[CycleTerm]:

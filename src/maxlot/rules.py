@@ -58,7 +58,7 @@ def borda(profile: Profile) -> tuple[dict[str, Fraction], tuple[str, ...]]:
 
 def cubed_margins(profile: Profile) -> MarginMatrix:
     base = margins(profile)
-    return MarginMatrix(base.agenda, tuple(tuple(v**3 for v in row) for row in base.rows))
+    return MarginMatrix(base.agenda, tuple(tuple(v**3 for v in row) for row in base.num), base.scale**3)
 
 
 def ml_cubed(profile: Profile) -> LotteryPolytope:
@@ -104,7 +104,7 @@ def rule_contains(rule: RuleId, profile: Profile, lottery: Lottery) -> bool:
         raise ValueError("lottery and profile must share an agenda")
     matrix = rule_payoff_matrix(rule, profile)
     if matrix is not None:
-        return never_loses(lottery.probs, matrix.rows)
+        return never_loses(lottery.probs, matrix.num)
     return lottery == _point(rule, profile)
 
 

@@ -7,8 +7,8 @@ checks intersect outcomes):
 
 1. a strict Condorcet winner of any game decides at once: its degenerate
    lottery is that game's only maximin strategy,
-2. otherwise one exact simplex run per game (`linalg.simplex`, on the game
-   scaled to integers by `linalg.integers`) locates a maximin strategy p,
+2. otherwise one exact simplex run per game (`linalg.simplex`, on the
+   game's int numerators `MarginMatrix.num`) locates a maximin strategy p,
    and, when p ties a column outside its support, a second small simplex on
    the tied columns finds the essential set E: the support of a strictly
    complementary maximin strategy, which every maximin strategy lives on
@@ -86,7 +86,7 @@ def never_loses(x, rows) -> bool:
     return all(sum(xi * row[j] for xi, row in support) >= 0 for j in range(len(rows[0])))
 
 
-def _one_maximin(game: list[list[int]]) -> list[int]:
+def _one_maximin(game: Sequence[Sequence[int]]) -> list[int]:
     """One maximin strategy of the integer skew game, up to a positive factor.
 
     The game is shifted by c = 1 + max|M| so every payoff is positive and
@@ -101,7 +101,7 @@ def _one_maximin(game: list[list[int]]) -> list[int]:
     return [w + y for w, y in zip(primal, dual)]
 
 
-def _essential(game: list[list[int]], scale: int) -> set[int]:
+def _essential(game: Sequence[Sequence[int]], scale: int) -> set[int]:
     """Indices of the essential set E of the integer skew game.
 
     E is the support of a strictly complementary maximin strategy x*, which
@@ -132,16 +132,12 @@ def maximin_vertices(matrices: Sequence[MarginMatrix], over: Sequence[str]) -> l
     `over` and never lose in any of the skew games; every game's agenda
     contains `over`."""
     for m in matrices:
-        n = len(m.agenda)
-        for i, w in enumerate(m.agenda.ids):
-            if all(m.rows[i][j] > 0 for j in range(n) if j != i):
-                if w in over and all(v >= 0 for g in matrices for v in g.rows[g.agenda.index(w)]):
-                    return [tuple(Fraction(int(x == w)) for x in over)]
-                return []
-    games = []
-    for m in matrices:
-        game, scale = integers(m.rows)
-        games.append((m, game, _essential(game, scale)))
+        w = _condorcet_report(m).strict
+        if w is not None:
+            if w in over and all(w in _condorcet_report(g).weak for g in matrices):
+                return [tuple(Fraction(int(x == w)) for x in over)]
+            return []
+    games = [(m, m.num, _essential(m.num, m.scale)) for m in matrices]
     # every maximin strategy of a game lives on its essential set E and
     # scores exactly 0 against E's columns; the face these equalities cut
     # from the simplex may still reach past a column off E, which the
@@ -187,7 +183,7 @@ def is_maximal(profile: Profile, lottery: Lottery) -> bool:
     """Membership test: the lottery never loses in expectation."""
     if lottery.agenda != profile.agenda:
         raise ValueError("lottery and profile must share an agenda")
-    return never_loses(lottery.probs, margins(profile).rows)
+    return never_loses(lottery.probs, margins(profile).num)
 
 
 def unique_maximal(profile: Profile) -> Lottery | None:
@@ -199,7 +195,7 @@ def essential_set(profile: Profile) -> tuple[str, ...]:
     """Union of the supports of all maximal lotteries: the support of a
     strictly complementary one, read off the simplex without a vertex walk."""
     m = margins(profile)
-    return tuple(sorted(m.agenda.ids[j] for j in _essential(*integers(m.rows))))
+    return tuple(sorted(m.agenda.ids[j] for j in _essential(m.num, m.scale)))
 
 
 def condorcet_winners(profile: Profile) -> CondorcetReport:
@@ -207,14 +203,11 @@ def condorcet_winners(profile: Profile) -> CondorcetReport:
 
 
 def _condorcet_report(matrix: MarginMatrix) -> CondorcetReport:
-    n = len(matrix.agenda)
-    weak = []
-    strict = None
-    for i, x in enumerate(matrix.agenda):
-        row = matrix.rows[i]
-        if all(row[j] >= 0 for j in range(n)):
+    weak, strict = [], None
+    for x, row in zip(matrix.agenda, matrix.num):
+        if min(row) >= 0:
             weak.append(x)
-            if all(row[j] > 0 for j in range(n) if j != i):
+            if row.count(0) == 1:  # only the diagonal ties
                 strict = x
     return CondorcetReport(tuple(weak), strict)
 

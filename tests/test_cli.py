@@ -256,6 +256,19 @@ class TestCheckCommand:
         )
         assert code == 0 and report["results"]["checked"] == 5
 
+    def test_random_digest_covers_instance_bounds(self, capsys):
+        def digest(*bounds):
+            code, report, _ = run_cli(
+                capsys, "check", "cloning", "--rule", "borda", "--random", "--trials", "3", *bounds
+            )
+            assert code in (0, 1)
+            return report["input_digest"]
+
+        base = digest("--max-alternatives", "3", "--max-ballots", "4")
+        assert digest("--max-alternatives", "3", "--max-ballots", "4") == base
+        assert digest("--max-alternatives", "4", "--max-ballots", "4") != base
+        assert digest("--max-alternatives", "3", "--max-ballots", "5") != base
+
 
 class TestMcgarveyCommand:
     def test_cycle_roundtrip(self, tmp_path, capsys):

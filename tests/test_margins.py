@@ -20,6 +20,7 @@ from maxlot import (
     permute,
     restrict,
 )
+from maxlot.linalg import integers
 from maxlot.prng import SplitMix64
 
 from bruteforce import margins_oracle, mcgarvey_oracle
@@ -79,6 +80,44 @@ class TestMarginMatrix:
     def test_commutes_with_restrict(self, profile):
         keep = profile.agenda.ids[:2]
         assert margins(restrict(profile, keep)) == margins(profile).submatrix(keep)
+
+
+@st.composite
+def skew_rows(draw):
+    """Random skew-symmetric rational rows over 1 to 5 alternatives."""
+    n = draw(st.integers(1, 5))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(entries)
+            rows[i][j], rows[j][i] = v, -v
+    return Agenda(tuple("abcde"[:n])), tuple(tuple(r) for r in rows)
+
+
+class TestIntegerNumerators:
+    @given(skew_rows())
+    def test_numerators_are_integers_of_rows(self, drawn):
+        agenda, rows = drawn
+        m = MarginMatrix(agenda, rows)
+        num, scale = integers(rows)
+        assert (m.num, m.scale) == (tuple(map(tuple, num)), scale)
+        assert m.rows == rows
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_int_numerators_over_a_multiple_equal_fractions(self, k):
+        m = MarginMatrix(ABC, ((0, k, -k), (-k, 0, k), (k, -k, 0)), 3 * k)
+        assert m == THIRD_CYCLE and hash(m) == hash(THIRD_CYCLE)
+        assert (m.num, m.scale) == (THIRD_CYCLE.num, 3)
+
+    @given(profiles())
+    def test_margins_equal_oracle_matrix(self, profile):
+        assert margins(profile) == MarginMatrix(profile.agenda, margins_oracle(profile))
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_rejects_nonpositive_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            MarginMatrix(ABC, UNIT_CYCLE.num, scale)
 
 
 @st.composite
